@@ -424,6 +424,10 @@ def main(argv=None) -> int:
     except MccsError as e:
         print(str(e), file=sys.stderr)
         return EILL
+    except RecursionError:
+        # term traversals are recursive, so nesting depth is a budget
+        print("input nests too deeply to process", file=sys.stderr)
+        return EBUDGET
 
 
 if __name__ == "__main__":

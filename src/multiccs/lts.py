@@ -1,12 +1,23 @@
 """Labeled transition system semantics.
 
-A state is a canonical normal form.  Its moves are computed from the
-flattened component multiset: every component contributes base moves
-(prefix, strong prefix, summand selection, constant unfolding), composed
-moves come from synchronizing disjoint sub-multisets pairwise, and a move
-escapes a restriction scope only if its label does not mention a bound
-name.  Because components live in one flattened multiset, all parallel
-association orders are covered without rewriting terms.
+Moves are computed over a component multiset: every component contributes
+base moves (prefix, strong prefix, summand selection, constant unfolding),
+composed moves come from synchronizing disjoint sub-multisets pairwise,
+and a move escapes a restriction scope only if its label does not mention
+a bound name.  Because components live in one flattened multiset, all
+parallel association orders are covered without rewriting terms.  The
+pairwise closure (`StepEngine.closure`) yields each move as the components
+it uses, its label and the continuations it leaves; the term-level `step`
+assembles a target term from them and normalizes it.
+
+`build_lts` explores a state as its top-level restricted names plus the
+counted multiset of its canonical components, (component, count) pairs in
+normal-form order.  In a state without restricted names a move rewrites
+only what it consumes: the successor is the state minus the used
+components plus the canonical components of the continuations, and each
+continuation is normalized once per build.  Binder naming is global to a
+state, so a state with top-level restrictions, and a move whose
+continuation extrudes a restriction, normalize the whole target term.
 
 A strong prefix contributes the head of an atomic sequence: the rest of
 the label comes from a move of its body, so a strong prefix whose body
@@ -16,14 +27,15 @@ cannot move is a dead end.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
-from .normalform import NormalForm, normalize
+from .normalform import NormalForm, component_order, normalize
 from .sync import SyncMode, sync_outcomes
 from .terms import (
     Const, Env, GuardednessError, MccsError, Nil, Par, Prefix, Program,
-    Restrict, StrongPrefix, Sum, Term, format_sequence, free_names,
-    par_fold, sequence_names, substitute, term_key,
+    Restrict, StrongPrefix, Sum, Term, format_sequence, format_term,
+    free_names, par_fold, sequence_names, substitute, term_key,
 )
 
 
@@ -37,7 +49,7 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 
-# hard cap on the pairwise closure at a single state
+# cap on the pairwise closure at a single state; reaching it truncates
 _MAX_ITEMS = 200000
 
 
@@ -47,7 +59,10 @@ def _label_key(label):
 
 @dataclass
 class Lts:
-    states: list          # canonical state keys, index 0 is the initial state
+    # printed normal forms (`NormalForm.key()`), index 0 is the initial
+    # state; a state without restricted names prints as its components
+    # joined with " | " in normal-form order, or "0" when it has none
+    states: list
     transitions: list     # (source index, label sequence, target index)
     initial: int = 0
     complete: bool = True
@@ -70,7 +85,10 @@ class StepEngine:
 
     Caches are only filled with finished results; re-entering a term that
     is still being computed means constant unfolding does not pass a
-    normal prefix, i.e. the input violates guardedness.
+    normal prefix, i.e. the input violates guardedness.  `truncated` is
+    set once a budget (the closure cap, or `max_seq_len` in general mode)
+    has cut some closure short; it stays set, as cached results may carry
+    the cut.
     """
 
     def __init__(self, env: Env, mode: SyncMode = SyncMode.GENERAL,
@@ -79,6 +97,7 @@ class StepEngine:
         self.mode = mode
         self.max_seq_len = max_seq_len
         self.strict = strict
+        self.truncated = False
         self._seq_cache: dict = {}
         self._term_cache: dict = {}
         self._busy: set = set()
@@ -153,8 +172,11 @@ class StepEngine:
         walk(t)
         return binders, comps
 
-    def _compose(self, binders: list, comps: Counter) -> tuple:
-        """All (label, continuation term) moves of new(binders)(comps)."""
+    def closure(self, comps: Counter) -> list:
+        """The pairwise closure over a component multiset: every
+        (used, label, conts) item, where `used` counts the components a
+        move consumes and `conts` counts (component, continuation) pairs.
+        Restriction is not applied here."""
         items: dict = {}
         queue = deque()
 
@@ -166,7 +188,10 @@ class StepEngine:
             if key in items:
                 return
             if len(items) >= _MAX_ITEMS:
-                raise MccsError("move closure exceeded %d items" % _MAX_ITEMS)
+                # keep what was found and stop the closure
+                self.truncated = True
+                queue.clear()
+                return
             items[key] = (used, label, conts)
             queue.append(key)
 
@@ -186,26 +211,36 @@ class StepEngine:
                                    key=_label_key):
                     if (self.mode is SyncMode.GENERAL
                             and len(lab3) > self.max_seq_len):
+                        self.truncated = True
                         continue
                     add(merged, lab3, conts1 + conts2)
+        return list(items.values())
 
+    @staticmethod
+    def assemble(binders: list, comps: Counter, used: Counter,
+                 conts: Counter) -> Term:
+        """The target term of a closure item of new(binders)(comps)."""
+        parts: list = []
+        for (src, cont), n in sorted(
+                conts.items(),
+                key=lambda kv: (term_key(kv[0][0]), term_key(kv[0][1]))):
+            parts.extend([cont] * n)
+        rest = comps - used
+        for src in sorted(rest, key=term_key):
+            parts.extend([src] * rest[src])
+        target = par_fold(parts)
+        for name in reversed(binders):
+            target = Restrict(name, target)
+        return target
+
+    def _compose(self, binders: list, comps: Counter) -> tuple:
+        """All (label, continuation term) moves of new(binders)(comps)."""
         blocked = set(binders)
         moves = {}
-        for used, label, conts in items.values():
+        for used, label, conts in self.closure(comps):
             if sequence_names(label) & blocked:
                 continue
-            parts: list = []
-            for (src, cont), n in sorted(
-                    conts.items(),
-                    key=lambda kv: (term_key(kv[0][0]), term_key(kv[0][1]))):
-                parts.extend([cont] * n)
-            rest = comps - used
-            for src in sorted(rest, key=term_key):
-                parts.extend([src] * rest[src])
-            target = par_fold(parts)
-            for name in reversed(binders):
-                target = Restrict(name, target)
-            moves[(label, target)] = None
+            moves[(label, self.assemble(binders, comps, used, conts))] = None
         return tuple(moves)
 
 
@@ -223,32 +258,110 @@ def step(state, env: Env, mode: SyncMode = SyncMode.GENERAL,
     return tuple(sorted(out, key=lambda m: (tuple(a.key() for a in m[0]), m[1].key())))
 
 
+def _counted(nf: NormalForm):
+    """The exploration state of a normal form: (restricted names,
+    (component, count) pairs in normal-form order)."""
+    return nf.restricted, tuple((c, len(list(run)))
+                                for c, run in groupby(nf.components))
+
+
+def _expand(counted) -> tuple:
+    return tuple(c for c, n in counted for _ in range(n))
+
+
 def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
               budget: Budget = DEFAULT_BUDGET, strict: bool = False) -> Lts:
     """Breadth-first state space construction from the main term."""
-    engine = StepEngine(program.env, mode, budget.max_seq_len, strict)
-    init = normalize(program.main, program.env, strict)
-    keys = [init.key()]
-    index = {keys[0]: 0}
+    env = program.env
+    engine = StepEngine(env, mode, budget.max_seq_len, strict)
+    order: dict = {}      # component -> normal-form sort key
+    printed: dict = {}    # component -> its text
+    conts_nf: dict = {}   # continuation -> counted components, or None
+                          # when it extrudes a restriction
+
+    def show(state) -> str:
+        restricted, comps = state
+        if restricted:
+            return NormalForm(restricted, _expand(comps)).key()
+        parts = []
+        for c, n in comps:
+            text = printed.get(c)
+            if text is None:
+                text = printed[c] = format_term(c)
+            parts.extend([text] * n)
+        return " | ".join(parts) if parts else "0"
+
+    def rank(kv):
+        c = kv[0]
+        key = order.get(c)
+        if key is None:
+            key = order[c] = component_order(c, env, strict)
+        return key
+
+    def canon(cont):
+        if cont not in conts_nf:
+            nf = normalize(cont, env, strict)
+            conts_nf[cont] = None if nf.restricted else _counted(nf)[1]
+        return conts_nf[cont]
+
+    def successor(comps: Counter, used: Counter, conts: Counter):
+        nxt = comps - used
+        for (_, cont), n in conts.items():
+            parts = canon(cont)
+            if parts is None:
+                # binder naming is global to the state
+                target = StepEngine.assemble([], comps, used, conts)
+                return _counted(normalize(target, env, strict))
+            for c, m in parts:
+                nxt[c] += n * m
+        return (), tuple(sorted(nxt.items(), key=rank))
+
+    def moves(state) -> dict:
+        restricted, counted = state
+        if restricted:
+            nf = NormalForm(restricted, _expand(counted))
+            return {(label, _counted(target)): None for label, target
+                    in step(nf, env, mode, budget, strict, engine)}
+        comps = Counter(dict(counted))
+        return {(label, successor(comps, used, conts)): None
+                for used, label, conts in engine.closure(comps)}
+
+    init = _counted(normalize(program.main, env, strict))
+    keys = [show(init)]
+    index = {init: 0}
     frontier = deque([init])
     transitions = []
     complete = True
     while frontier:
-        nf = frontier.popleft()
-        src = index[nf.key()]
-        for label, target in step(nf, program.env, mode, budget, strict, engine):
-            k = target.key()
-            j = index.get(k)
+        state = frontier.popleft()
+        src = index[state]
+        found = []
+        fresh: dict = {}
+        for label, nxt in moves(state):
+            j = index.get(nxt)
+            if j is not None:
+                text = keys[j]
+            elif len(keys) >= budget.max_states:
+                complete = False
+                continue
+            else:
+                text = fresh.get(nxt)
+                if text is None:
+                    text = fresh[nxt] = show(nxt)
+            found.append((_label_key(label), text, label, nxt))
+        found.sort(key=lambda f: f[:2])
+        for _, text, label, nxt in found:
+            j = index.get(nxt)
             if j is None:
                 if len(keys) >= budget.max_states:
                     complete = False
                     continue
                 j = len(keys)
-                index[k] = j
-                keys.append(k)
-                frontier.append(target)
+                index[nxt] = j
+                keys.append(text)
+                frontier.append(nxt)
             transitions.append((src, label, j))
-    return Lts(keys, transitions, 0, complete, "term")
+    return Lts(keys, transitions, 0, complete and not engine.truncated, "term")
 
 
 def format_label(label) -> str:

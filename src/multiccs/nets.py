@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .lts import Budget, DEFAULT_BUDGET, Lts, _label_key, _MAX_ITEMS
+from .lts import Budget, DEFAULT_BUDGET, Lts, _label_key
 from .parser import ParseError, _Tokens
 from .sync import SyncMode, sync_outcomes
 from .terms import (
@@ -242,6 +242,7 @@ class NetBuilder:
                                    key=_label_key):
                     if (self.mode is SyncMode.GENERAL
                             and len(lab3) > self.budget.max_seq_len):
+                        truncated = True
                         continue
                     add(merged, lab3, prod1 + prod2)
         out = [(used, label, produced) for used, label, produced, _, _ in items.values()]
@@ -565,29 +566,6 @@ def marking_graph(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> Lts:
                 frontier.append(j)
             transitions[(i, label, j)] = None
     return Lts(states, list(transitions), 0, complete, "marking")
-
-
-def _explore(net: PTNet, budget: Budget):
-    """Reachable markings up to the state budget: (markings, complete)."""
-    init = Counter(net.initial)
-    seen = {marking_key(init): init}
-    frontier = deque([init])
-    complete = True
-    while frontier:
-        m = frontier.popleft()
-        for pre, _, post in net.transitions:
-            if not marking_leq(pre, m):
-                continue
-            nxt = fire(m, pre, post)
-            k = marking_key(nxt)
-            if k in seen:
-                continue
-            if len(seen) >= budget.max_states:
-                complete = False
-                continue
-            seen[k] = nxt
-            frontier.append(nxt)
-    return list(seen.values()), complete
 
 
 def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:

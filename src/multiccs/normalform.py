@@ -84,6 +84,13 @@ def normalize(t: Term, env: Env, strict: bool = False) -> NormalForm:
     return NormalForm(tuple(names), tuple(comps))
 
 
+def component_order(c: Term, env: Env, strict: bool = False):
+    """Sort key of a component at the top of a normal form without
+    restrictions: `normalize` lists such components in increasing order
+    of it, and distinct canonical components have distinct keys."""
+    return _skel(c, {}, 1, _Gen(env, strict))
+
+
 # ---------------------------------------------------------------------------
 # region handling
 #

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import multiccs.lts
 from multiccs.cli import main
 from multiccs.nets import parse_pnet
 
@@ -67,6 +68,26 @@ class TestLts:
 
     def test_ill_formed_input(self, capsys):
         assert run("lts", path("illegal.mccs")) == 3
+
+    def test_sync_cut_by_max_seq_len_is_a_budget_error(self, capsys,
+                                                       tmp_path):
+        f = tmp_path / "p.mccs"
+        f.write_text("main = <a>.b.0 | <c>.~a.0;\n")
+        assert run("lts", f, "--mode", "general", "--max-seq-len", "1",
+                   "--quiet") == 4
+        assert "complete: no" in capsys.readouterr().out
+
+    def test_closure_cap_is_a_budget_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(multiccs.lts, "_MAX_ITEMS", 2)
+        assert run("lts", path("dining.mccs"), "--quiet") == 4
+        assert "complete: no" in capsys.readouterr().out
+
+    def test_deep_nesting_is_reported_in_one_line(self, capsys, tmp_path):
+        f = tmp_path / "deep.mccs"
+        f.write_text("main = %s0;\n" % ("a." * 300))
+        assert run("lts", f, "--quiet") == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nests too deeply" in err
 
     def test_mode_flag_changes_the_system(self, capsys, tmp_path):
         f = tmp_path / "p.mccs"

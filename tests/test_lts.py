@@ -1,14 +1,21 @@
 """Transition-system semantics: base moves, composed moves, restriction,
 atomic sequences, budgets."""
 
+import random
+from collections import deque
+
 import pytest
 
+import multiccs.lts as lts_module
 from multiccs.lts import Budget, StepEngine, build_lts, step
+from multiccs.normalform import normalize
 from multiccs.parser import parse_program, parse_term
 from multiccs.sync import SyncMode
-from multiccs.terms import GuardednessError, TAU_ACT, act_in, act_out
+from multiccs.terms import (
+    GuardednessError, TAU_ACT, act_in, act_out, check_wellformed,
+)
 
-from conftest import load_program
+from conftest import CORPUS, load_program, random_finite_net_program
 
 TAU = (TAU_ACT,)
 
@@ -101,6 +108,20 @@ class TestComposition:
         assert l.states == r.states and l.transitions == r.transitions
         assert shape(l) == (8, 12)
 
+    def test_a_sync_cut_by_max_seq_len_truncates(self):
+        text = "main = <a>.b.0 | <c>.~a.0;"
+        full = lts_of(text, budget=Budget(max_seq_len=16))
+        cut = lts_of(text, budget=Budget(max_seq_len=1))
+        assert full.complete and shape(full) == (4, 5)
+        assert ("c", "b") not in init_labels(cut)
+        assert not cut.complete and shape(cut) == (4, 4)
+
+    def test_closure_cap_truncates(self, monkeypatch):
+        monkeypatch.setattr(lts_module, "_MAX_ITEMS", 2)
+        l = lts_of("main = a.0 | b.0 | c.0;")
+        assert not l.complete
+        assert len(init_labels(l)) == 2
+
     def test_finite_net_mode_drops_transactional_merges(self):
         gen = lts_of("main = <a>.b.0 | <c>.~a.0;")
         fn = lts_of("main = <a>.b.0 | <c>.~a.0;", mode=SyncMode.FINITE_NET)
@@ -142,6 +163,91 @@ class TestNamedSystems:
         assert not l.complete
         assert len(l.states) == 300
         assert all(0 <= s < 300 and 0 <= d < 300 for s, _, d in l.transitions)
+
+
+    def test_normalize_calls_do_not_grow_with_the_state_space(
+            self, monkeypatch):
+        # a step normalizes only continuations it has not seen before, not
+        # its whole target
+        calls = []
+        real = lts_module.normalize
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lts_module, "normalize", counting)
+        counts = []
+        for cap in (100, 400):
+            calls.clear()
+            l = build_lts(load_program("semicounter"),
+                          budget=Budget(max_states=cap))
+            assert len(l.states) == cap
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4
+
+
+def bfs_over_step(program, mode, budget, strict):
+    """Reference exploration: the term-level step() on whole normal forms,
+    every target normalized whole and indexed by its printed form."""
+    env = program.env
+    engine = StepEngine(env, mode, budget.max_seq_len, strict)
+    init = normalize(program.main, env, strict)
+    keys = [init.key()]
+    index = {keys[0]: 0}
+    frontier = deque([init])
+    transitions = []
+    complete = True
+    while frontier:
+        nf = frontier.popleft()
+        src = index[nf.key()]
+        for label, target in step(nf, env, mode, budget, strict, engine):
+            k = target.key()
+            j = index.get(k)
+            if j is None:
+                if len(keys) >= budget.max_states:
+                    complete = False
+                    continue
+                j = len(keys)
+                index[k] = j
+                keys.append(k)
+                frontier.append(target)
+            transitions.append((src, label, j))
+    return keys, transitions, complete and not engine.truncated
+
+
+DIFF_BUDGET = Budget(max_states=40)
+WELL_FORMED_CORPUS = [
+    p.name for p in sorted(CORPUS.glob("*.mccs"))
+    if check_wellformed(load_program(p.name)).ok]
+
+
+def seeded_programs(count):
+    rng = random.Random(6433)
+    out = []
+    while len(out) < count:
+        prog = random_finite_net_program(rng)
+        if check_wellformed(prog).ok:
+            out.append(prog)
+    return out
+
+
+def assert_same_as_step_bfs(program, mode, strict):
+    l = build_lts(program, mode, DIFF_BUDGET, strict)
+    assert (l.states, l.transitions, l.complete) == bfs_over_step(
+        program, mode, DIFF_BUDGET, strict)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+@pytest.mark.parametrize("mode", list(SyncMode), ids=lambda m: m.value)
+class TestAgainstStepOracle:
+    @pytest.mark.parametrize("name", WELL_FORMED_CORPUS)
+    def test_corpus(self, name, mode, strict):
+        assert_same_as_step_bfs(load_program(name), mode, strict)
+
+    def test_seeded_programs(self, mode, strict):
+        for prog in seeded_programs(30):
+            assert_same_as_step_bfs(prog, mode, strict)
 
 
 class TestStepAndDeterminism:

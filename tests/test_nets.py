@@ -152,6 +152,15 @@ class TestBuiltNets:
                   for pre, _, post in gen.transitions}
         assert ("s1", "2*s1") in shapes and ("2*s1", "4*s1") in shapes
 
+    def test_a_sync_cut_by_max_seq_len_truncates(self):
+        prog = parse_program("main = <a>.b.0 | <c>.~a.0;")
+        full = build_net(prog, mode=SyncMode.GENERAL,
+                         budget=Budget(max_seq_len=16))
+        cut = build_net(prog, mode=SyncMode.GENERAL,
+                        budget=Budget(max_seq_len=1))
+        assert full.complete and len(full.transitions) == 3
+        assert not cut.complete and len(cut.transitions) == 2
+
     def test_mode_defaults_to_the_fragment_check(self):
         sc = load_program("semicounter")
         assert classify_finite_net(sc)[0]
