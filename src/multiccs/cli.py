@@ -16,7 +16,8 @@ from .net2term import TranslationError, is_ccs_net, translate
 from .parser import ParseError, format_program, parse_program
 from .sync import SyncMode, sync_outcomes
 from .terms import (MccsError, act_in, act_out, TAU_ACT, check_wellformed,
-                    classify_finite_net, format_sequence, format_term)
+                    classify_finite_net, format_sequence, format_term,
+                    label_key)
 
 OK, EPARSE, EILL, EBUDGET, EPROP = 0, 2, 3, 4, 5
 
@@ -111,7 +112,7 @@ def cmd_lts(args) -> int:
             print("q%d = %s" % (i, key))
         for src, label, tgt in sorted(
                 lts.transitions,
-                key=lambda t: (t[0], tuple(a.key() for a in t[1]), t[2])):
+                key=lambda t: (t[0], label_key(t[1]), t[2])):
             print("q%d --%s--> q%d" % (src, format_label(label), tgt))
     return OK if lts.complete else EBUDGET
 
@@ -257,7 +258,7 @@ def cmd_sync(args) -> int:
     outcomes = sync_outcomes(s1, s2, mode)
     if not outcomes:
         print("(no synchronization)")
-    for seq in sorted(outcomes, key=lambda s: tuple(a.key() for a in s)):
+    for seq in sorted(outcomes, key=label_key):
         print(format_sequence(seq))
     return OK
 
@@ -275,15 +276,20 @@ def cmd_step(args) -> int:
         print("state: %s" % state.key(), file=out)
         moves = step(state, program.env, mode, _budget(args), args.strict,
                      engine)
+        # the flag is sticky: cached moves may carry an earlier cut
+        status = EBUDGET if engine.truncated else OK
+        if status:
+            print("note: a budget cut the move computation, moves may be "
+                  "missing", file=out)
         if not moves:
             print("no moves (deadlock)", file=out)
-            return OK
+            return status
         for i, (label, target) in enumerate(moves):
             print("  [%d] --%s--> %s" % (i, format_label(label),
                                          target.key()), file=out)
         line = sys.stdin.readline()
         if not line or line.strip() in ("q", "quit"):
-            return OK
+            return status
         try:
             choice = int(line)
         except ValueError:

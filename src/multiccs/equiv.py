@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .lts import Budget, DEFAULT_BUDGET, Lts, format_label
 from .nets import PTNet, marking_graph, marking_key
-from .terms import MccsError
+from .terms import MccsError, label_key
 
 __all__ = [
     "IncompleteLtsError", "Formula", "FTrue", "Diamond", "FAnd", "FNot",
@@ -117,10 +117,6 @@ class BisimResult:
         return None if self.formula is None else render_formula(self.formula)
 
 
-def _label_key(lab):
-    return tuple(a.key() for a in lab)
-
-
 def bisimilar(a: Lts, b: Lts, require_complete: bool = True) -> BisimResult:
     """Strong bisimilarity of the initial states of two systems."""
     for tag, l in (("first", a), ("second", b)):
@@ -170,7 +166,7 @@ def _distinguish(s, t, history, succ) -> Formula:
     diff = sig(s) - sig(t)
     if not diff:
         return FNot(_distinguish(t, s, history, succ))
-    lab, blk = min(diff, key=lambda p: (_label_key(p[0]), p[1]))
+    lab, blk = min(diff, key=lambda p: (label_key(p[0]), p[1]))
     s2 = min(m for m in succ[s][lab] if prev[m] == blk)
     subs = tuple(_distinguish(s2, t2, history, succ)
                  for t2 in sorted(succ[t].get(lab, ())))
@@ -235,7 +231,7 @@ def _canon_transitions(net: PTNet, perm=None):
         if perm is not None:
             pre = {perm[s]: n for s, n in pre.items()}
             post = {perm[s]: n for s, n in post.items()}
-        out.append((marking_key(pre), _label_key(lab), marking_key(post)))
+        out.append((marking_key(pre), label_key(lab), marking_key(post)))
     out.sort()
     return out
 
@@ -247,7 +243,7 @@ def _place_colors(net: PTNet):
     while True:
         tcol = []
         for pre, lab, post in net.transitions:
-            tcol.append((_label_key(lab),
+            tcol.append((label_key(lab),
                          tuple(sorted((color[s], w) for s, w in pre.items())),
                          tuple(sorted((color[s], w) for s, w in post.items()))))
         sig = {}

@@ -6,9 +6,10 @@ composed moves come from synchronizing disjoint sub-multisets pairwise,
 and a move escapes a restriction scope only if its label does not mention
 a bound name.  Because components live in one flattened multiset, all
 parallel association orders are covered without rewriting terms.  The
-pairwise closure (`StepEngine.closure`) yields each move as the components
-it uses, its label and the continuations it leaves; the term-level `step`
-assembles a target term from them and normalizes it.
+pairwise closure (`closure`) is the one place where moves combine, for
+this semantics and for the net semantics in `nets`: it yields each move as
+the components it uses, its label and the continuations it produces.  The
+term-level `step` assembles a target term from them and normalizes it.
 
 `build_lts` explores a state as its top-level restricted names plus the
 counted multiset of its canonical components, (component, count) pairs in
@@ -35,7 +36,7 @@ from .sync import SyncMode, sync_outcomes
 from .terms import (
     Const, Env, GuardednessError, MccsError, Nil, Par, Prefix, Program,
     Restrict, StrongPrefix, Sum, Term, format_sequence, format_term,
-    free_names, par_fold, sequence_names, substitute, term_key,
+    free_names, label_key, par_fold, sequence_names, substitute, term_key,
 )
 
 
@@ -53,8 +54,71 @@ DEFAULT_BUDGET = Budget()
 _MAX_ITEMS = 200000
 
 
-def _label_key(label):
-    return tuple(a.key() for a in label)
+def freeze(m: Counter) -> tuple:
+    """A hashable key of a multiset of terms, independent of insertion
+    order."""
+    return tuple(sorted(((term_key(s), s, n) for s, n in m.items() if n),
+                        key=lambda kv: kv[0]))
+
+
+def _acts(label) -> frozenset:
+    return frozenset(a.key() for a in label if not a.is_tau)
+
+
+def _coacts(label) -> frozenset:
+    return frozenset(a.complement().key() for a in label if not a.is_tau)
+
+
+def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
+            cap: int) -> tuple:
+    """The pairwise synchronization closure over the multiset `bound`.
+
+    base(component) gives the (label, produced) moves of one component,
+    `produced` a Counter.  The result is (items, truncated): items are
+    (used, label, produced) triples with `used` below `bound`, in discovery
+    order -- the base moves of the components in `term_key` order, then
+    every synchronization of two items that fit in `bound` together.
+    Restriction is not applied here.  `truncated` is set when a
+    general-mode synchronization longer than max_seq_len was dropped, or
+    when the closure reached `cap` items and stopped.
+    """
+    items: dict = {}
+    queue = deque()
+    truncated = False
+
+    def add(used, label, produced) -> bool:
+        """Record an item; False, with the queue cleared, at the cap."""
+        key = (freeze(used), label, freeze(produced))
+        if key in items:
+            return True
+        if len(items) >= cap:
+            queue.clear()
+            return False
+        items[key] = (used, label, produced, _acts(label), _coacts(label))
+        queue.append(key)
+        return True
+
+    for c in sorted(bound, key=term_key):
+        for label, produced in base(c):
+            if not add(Counter({c: 1}), label, produced):
+                truncated = True
+
+    while queue:
+        used1, lab1, prod1, _, co1 = items[queue.popleft()]
+        for used2, lab2, prod2, acts2, _ in list(items.values()):
+            if not co1 & acts2:
+                # every synchronization cancels at least one
+                # complementary pair of actions
+                continue
+            merged = used1 + used2
+            if any(merged[s] > bound[s] for s in merged):
+                continue
+            for lab3 in sorted(sync_outcomes(lab1, lab2, mode), key=label_key):
+                if mode is SyncMode.GENERAL and len(lab3) > max_seq_len:
+                    truncated = True
+                elif not add(merged, lab3, prod1 + prod2):
+                    return [item[:3] for item in items.values()], True
+    return [item[:3] for item in items.values()], truncated
 
 
 @dataclass
@@ -173,62 +237,22 @@ class StepEngine:
         return binders, comps
 
     def closure(self, comps: Counter) -> list:
-        """The pairwise closure over a component multiset: every
-        (used, label, conts) item, where `used` counts the components a
-        move consumes and `conts` counts (component, continuation) pairs.
-        Restriction is not applied here."""
-        items: dict = {}
-        queue = deque()
-
-        def add(used, label, conts):
-            key = (tuple(sorted(used.items(), key=lambda kv: term_key(kv[0]))),
-                   label,
-                   tuple(sorted(conts.items(),
-                                key=lambda kv: (term_key(kv[0][0]), term_key(kv[0][1])))))
-            if key in items:
-                return
-            if len(items) >= _MAX_ITEMS:
-                # keep what was found and stop the closure
-                self.truncated = True
-                queue.clear()
-                return
-            items[key] = (used, label, conts)
-            queue.append(key)
-
-        for src in sorted(comps, key=term_key):
-            for label, cont in self.seq_moves(src):
-                add(Counter({src: 1}), label, Counter({(src, cont): 1}))
-
-        while queue:
-            k1 = queue.popleft()
-            used1, lab1, conts1 = items[k1]
-            for k2 in list(items):
-                used2, lab2, conts2 = items[k2]
-                merged = used1 + used2
-                if any(merged[s] > comps[s] for s in merged):
-                    continue
-                for lab3 in sorted(sync_outcomes(lab1, lab2, self.mode),
-                                   key=_label_key):
-                    if (self.mode is SyncMode.GENERAL
-                            and len(lab3) > self.max_seq_len):
-                        self.truncated = True
-                        continue
-                    add(merged, lab3, conts1 + conts2)
-        return list(items.values())
+        """The pairwise closure over a component multiset: (used, label,
+        produced) items, `produced` counting continuation terms."""
+        items, truncated = closure(
+            comps,
+            lambda c: [(label, Counter({cont: 1}))
+                       for label, cont in self.seq_moves(c)],
+            self.mode, self.max_seq_len, _MAX_ITEMS)
+        self.truncated = self.truncated or truncated
+        return items
 
     @staticmethod
     def assemble(binders: list, comps: Counter, used: Counter,
-                 conts: Counter) -> Term:
+                 produced: Counter) -> Term:
         """The target term of a closure item of new(binders)(comps)."""
-        parts: list = []
-        for (src, cont), n in sorted(
-                conts.items(),
-                key=lambda kv: (term_key(kv[0][0]), term_key(kv[0][1]))):
-            parts.extend([cont] * n)
-        rest = comps - used
-        for src in sorted(rest, key=term_key):
-            parts.extend([src] * rest[src])
-        target = par_fold(parts)
+        target = par_fold(sorted((comps - used + produced).elements(),
+                                 key=term_key))
         for name in reversed(binders):
             target = Restrict(name, target)
         return target
@@ -237,10 +261,10 @@ class StepEngine:
         """All (label, continuation term) moves of new(binders)(comps)."""
         blocked = set(binders)
         moves = {}
-        for used, label, conts in self.closure(comps):
+        for used, label, produced in self.closure(comps):
             if sequence_names(label) & blocked:
                 continue
-            moves[(label, self.assemble(binders, comps, used, conts))] = None
+            moves[(label, self.assemble(binders, comps, used, produced))] = None
         return tuple(moves)
 
 
@@ -255,7 +279,7 @@ def step(state, env: Env, mode: SyncMode = SyncMode.GENERAL,
     out = {}
     for label, target in engine.term_moves(t):
         out[(label, normalize(target, env, strict))] = None
-    return tuple(sorted(out, key=lambda m: (tuple(a.key() for a in m[0]), m[1].key())))
+    return tuple(sorted(out, key=lambda m: (label_key(m[0]), m[1].key())))
 
 
 def _counted(nf: NormalForm):
@@ -304,13 +328,13 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
             conts_nf[cont] = None if nf.restricted else _counted(nf)[1]
         return conts_nf[cont]
 
-    def successor(comps: Counter, used: Counter, conts: Counter):
+    def successor(comps: Counter, used: Counter, produced: Counter):
         nxt = comps - used
-        for (_, cont), n in conts.items():
+        for cont, n in produced.items():
             parts = canon(cont)
             if parts is None:
                 # binder naming is global to the state
-                target = StepEngine.assemble([], comps, used, conts)
+                target = StepEngine.assemble([], comps, used, produced)
                 return _counted(normalize(target, env, strict))
             for c, m in parts:
                 nxt[c] += n * m
@@ -323,8 +347,8 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
             return {(label, _counted(target)): None for label, target
                     in step(nf, env, mode, budget, strict, engine)}
         comps = Counter(dict(counted))
-        return {(label, successor(comps, used, conts)): None
-                for used, label, conts in engine.closure(comps)}
+        return {(label, successor(comps, used, produced)): None
+                for used, label, produced in engine.closure(comps)}
 
     init = _counted(normalize(program.main, env, strict))
     keys = [show(init)]
@@ -348,7 +372,7 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
                 text = fresh.get(nxt)
                 if text is None:
                     text = fresh[nxt] = show(nxt)
-            found.append((_label_key(label), text, label, nxt))
+            found.append((label_key(label), text, label, nxt))
         found.sort(key=lambda f: f[:2])
         for _, text, label, nxt in found:
             j = index.get(nxt)

@@ -3,30 +3,32 @@
 A term decomposes into a finite multiset of sequential processes (the
 initial marking); the places and transitions of its net are produced by a
 least fixpoint that alternates coverability analysis with transition
-derivation.  Transition derivation mirrors the move composition of the
-transition-system semantics, except that restricted names (the '#' name
-family, substituted for restriction binders during decomposition) take the
-place of bound names: moves labeled with restricted actions may take part
-in synchronizations but never surface as net transitions.
+derivation.  Transition derivation runs the pairwise closure `lts.closure`
+of the transition-system semantics over the places of a marking.  There,
+restricted names (the '#' name family, substituted for restriction
+binders during decomposition) take the place of bound names: moves
+labeled with restricted actions may take part in synchronizations but
+never surface as net transitions.
 
 Coverability is computed with a Karp-Miller tree over the transitions
 discovered so far, so transitions are admitted exactly when their preset
 is covered by some reachable marking, which keeps the net reduced and also
-handles unbounded nets such as the semi-counter.
+handles unbounded nets such as the semi-counter.  The marking graph and
+the reducedness and safety checks share one breadth-first search.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .lts import Budget, DEFAULT_BUDGET, Lts, _label_key
+from .lts import Budget, DEFAULT_BUDGET, Lts, closure, freeze
 from .parser import ParseError, _Tokens
-from .sync import SyncMode, sync_outcomes
+from .sync import SyncMode
 from .terms import (
     Action, Const, Env, GuardednessError, MccsError, Nil, Par, Prefix,
     Program, Restrict, StrongPrefix, Sum, Term, act_in, act_out,
-    format_term, substitute, term_key, TAU_ACT,
+    format_term, label_key, substitute, term_key, TAU_ACT,
 )
 
 OMEGA = float("inf")
@@ -132,19 +134,6 @@ def _label_visible(label) -> bool:
     return all(not a.is_restricted for a in label)
 
 
-def _acts(label) -> frozenset:
-    return frozenset(a.key() for a in label if not a.is_tau)
-
-
-def _coacts(label) -> frozenset:
-    return frozenset(a.complement().key() for a in label if not a.is_tau)
-
-
-def _freeze(m: Counter):
-    return tuple(sorted(((term_key(s), s, n) for s, n in m.items() if n),
-                        key=lambda kv: kv[0]))
-
-
 class NetBuilder:
     """Least-fixpoint net construction for one program."""
 
@@ -183,13 +172,13 @@ class NetBuilder:
             for used, label, produced in self.derive_items(marking):
                 rest = marking - used
                 rest.update(produced)
-                out[((p.action,) + label, _freeze(rest))] = rest
+                out[((p.action,) + label, freeze(rest))] = rest
             return tuple((label, rest) for (label, _), rest in out.items())
         if isinstance(p, Sum):
             merged = {}
             for side in (p.left, p.right):
                 for label, produced in self.place_moves(side):
-                    merged[(label, _freeze(produced))] = produced
+                    merged[(label, freeze(produced))] = produced
             return tuple((label, produced) for (label, _), produced in merged.items())
         if isinstance(p, Nil):
             return ()
@@ -200,55 +189,15 @@ class NetBuilder:
     def derive_items(self, seed: Counter) -> list:
         """All (used, label, produced) with used below the seed, including
         intermediate items whose label mentions restricted actions."""
-        frozen_seed = _freeze(seed)
+        frozen_seed = freeze(seed)
         hit = self._derived.get(frozen_seed)
-        if hit is not None:
-            items, truncated = hit
-            self.truncated_items = self.truncated_items or truncated
-            return items
-
-        items: dict = {}
-        queue = deque()
-        truncated = False
-
-        def add(used, label, produced):
-            nonlocal truncated
-            key = (_freeze(used), label, _freeze(produced))
-            if key in items:
-                return
-            if len(items) >= self.item_cap:
-                truncated = True
-                return
-            items[key] = (used, label, produced, _acts(label), _coacts(label))
-            queue.append(key)
-
-        for place in sorted(seed, key=term_key):
-            for label, produced in self.place_moves(place):
-                add(Counter({place: 1}), label, produced)
-
-        while queue:
-            k1 = queue.popleft()
-            used1, lab1, prod1, _, co1 = items[k1]
-            for k2 in list(items):
-                used2, lab2, prod2, acts2, _ = items[k2]
-                if not co1 & acts2:
-                    # every synchronization cancels at least one
-                    # complementary pair of visible actions
-                    continue
-                merged = used1 + used2
-                if any(merged[s] > seed.get(s, 0) for s in merged):
-                    continue
-                for lab3 in sorted(sync_outcomes(lab1, lab2, self.mode),
-                                   key=_label_key):
-                    if (self.mode is SyncMode.GENERAL
-                            and len(lab3) > self.budget.max_seq_len):
-                        truncated = True
-                        continue
-                    add(merged, lab3, prod1 + prod2)
-        out = [(used, label, produced) for used, label, produced, _, _ in items.values()]
-        self._derived[frozen_seed] = (out, truncated)
+        if hit is None:
+            hit = self._derived[frozen_seed] = closure(
+                seed, self.place_moves, self.mode, self.budget.max_seq_len,
+                self.item_cap)
+        items, truncated = hit
         self.truncated_items = self.truncated_items or truncated
-        return out
+        return items
 
     # -- the fixpoint --------------------------------------------------------
 
@@ -282,7 +231,7 @@ class NetBuilder:
                 for used, label, produced in self.derive_items(seed):
                     if not _label_visible(label):
                         continue
-                    key = (_freeze(used), label, _freeze(produced))
+                    key = (freeze(used), label, freeze(produced))
                     if key in transitions:
                         continue
                     if len(transitions) >= self.budget.max_transitions:
@@ -312,7 +261,7 @@ class NetBuilder:
               label,
               Counter({place_index[s]: n for s, n in produced.items()}))
              for used, label, produced in transitions.values()),
-            key=lambda t: (marking_key(t[0]), tuple(a.key() for a in t[1]),
+            key=lambda t: (marking_key(t[0]), label_key(t[1]),
                            marking_key(t[2])))
         net = PTNet(
             name=name,
@@ -330,7 +279,7 @@ class NetBuilder:
         the tree stayed within budget."""
         tlist = sorted(transitions,
                        key=lambda t: (marking_key(t[0], term_key),
-                                      tuple(a.key() for a in t[1])))
+                                      label_key(t[1])))
         # the tree compares markings constantly: work on dense int vectors
         # over the fixed universe of places mentioned by m0 or a transition
         ids: dict = {}
@@ -495,7 +444,7 @@ class NetBuilder:
                 if verdict is None:
                     return None
                 if verdict:
-                    key = (_freeze(used), label, _freeze(produced))
+                    key = (freeze(used), label, freeze(produced))
                     kept[key] = (used, label, produced)
                     hit = True
                 else:
@@ -532,40 +481,49 @@ def build_net(program: Program, mode: SyncMode | None = None,
 # net analyses
 
 
-def marking_graph(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> Lts:
-    """Reachability graph: states are markings, edges are transition labels."""
-    names = net.place_names
-
-    def key(m):
-        return format_marking(m, names)
-
+def _explore(net: PTNet, budget: Budget, visit=None):
+    """Breadth-first search of the reachable markings, keyed by
+    `marking_key`: (markings, edges, complete), the kept markings in
+    discovery order and the (i, label, j) edges between them, each once.
+    A new marking beyond budget.max_states is dropped and clears
+    `complete`.  visit(m, kept) sees the initial marking and every new
+    marking a firing reaches, dropped ones included; when it returns true
+    the search stops and the result is None."""
     init = Counter(net.initial)
-    states = [key(init)]
-    index = {states[0]: 0}
-    store = {0: init}
-    frontier = deque([0])
-    transitions = {}
+    if visit is not None and visit(init, True):
+        return None
+    markings = [init]
+    index = {marking_key(init): 0}
+    edges: dict = {}
     complete = True
-    while frontier:
-        i = frontier.popleft()
-        m = store[i]
+    i = 0
+    while i < len(markings):
+        m = markings[i]
         for pre, label, post in net.transitions:
             if not marking_leq(pre, m):
                 continue
             nxt = fire(m, pre, post)
-            k = key(nxt)
+            k = marking_key(nxt)
             j = index.get(k)
             if j is None:
-                if len(states) >= budget.max_states:
+                kept = len(markings) < budget.max_states
+                if visit is not None and visit(nxt, kept):
+                    return None
+                if not kept:
                     complete = False
                     continue
-                j = len(states)
-                index[k] = j
-                states.append(k)
-                store[j] = nxt
-                frontier.append(j)
-            transitions[(i, label, j)] = None
-    return Lts(states, list(transitions), 0, complete, "marking")
+                j = index[k] = len(markings)
+                markings.append(nxt)
+            edges[(i, label, j)] = None
+        i += 1
+    return markings, list(edges), complete
+
+
+def marking_graph(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> Lts:
+    """Reachability graph: states are markings, edges are transition labels."""
+    markings, edges, complete = _explore(net, budget)
+    states = [format_marking(m, net.place_names) for m in markings]
+    return Lts(states, edges, 0, complete, "marking")
 
 
 def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
@@ -575,59 +533,27 @@ def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
         return "no"
     places_left = set(range(len(net.place_names)))
     trans_left = set(range(len(net.transitions)))
-    init = Counter(net.initial)
-    seen = {marking_key(init)}
-    frontier = deque([init])
-    complete = True
-    while frontier:
-        m = frontier.popleft()
-        places_left -= {s for s in m if m[s]}
-        trans_left -= {i for i in trans_left
-                       if marking_leq(net.transitions[i][0], m)}
-        if not places_left and not trans_left:
-            return "yes"
-        for pre, _, post in net.transitions:
-            if not marking_leq(pre, m):
-                continue
-            nxt = fire(m, pre, post)
-            k = marking_key(nxt)
-            if k in seen:
-                continue
-            if len(seen) >= budget.max_states:
-                complete = False
-                continue
-            seen.add(k)
-            frontier.append(nxt)
-    if not places_left and not trans_left:
+
+    def visit(m, kept) -> bool:
+        if kept:
+            places_left.difference_update(s for s in m if m[s])
+            trans_left.difference_update(
+                [i for i in trans_left if marking_leq(net.transitions[i][0], m)])
+        return not places_left and not trans_left
+
+    result = _explore(net, budget, visit)
+    if result is None:
         return "yes"
-    return "no" if complete else "unknown"
+    return "no" if result[2] else "unknown"
 
 
 def is_safe(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
     """'yes' / 'no' / 'unknown': no reachable marking puts 2 tokens on a place."""
-    init = Counter(net.initial)
-    if any(n > 1 for n in init.values()):
+    result = _explore(net, budget,
+                      lambda m, kept: any(n > 1 for n in m.values()))
+    if result is None:
         return "no"
-    seen = {marking_key(init)}
-    frontier = deque([init])
-    complete = True
-    while frontier:
-        m = frontier.popleft()
-        for pre, _, post in net.transitions:
-            if not marking_leq(pre, m):
-                continue
-            nxt = fire(m, pre, post)
-            if any(n > 1 for n in nxt.values()):
-                return "no"
-            k = marking_key(nxt)
-            if k in seen:
-                continue
-            if len(seen) >= budget.max_states:
-                complete = False
-                continue
-            seen.add(k)
-            frontier.append(nxt)
-    return "yes" if complete else "unknown"
+    return "yes" if result[2] else "unknown"
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,11 @@ def format_sequence(seq) -> str:
     return " ".join(str(a) for a in seq)
 
 
+def label_key(seq) -> tuple:
+    """The sort key of a label sequence."""
+    return tuple(a.key() for a in seq)
+
+
 def sequence_names(seq) -> frozenset:
     return frozenset(a.name for a in seq if not a.is_tau)
 

@@ -229,6 +229,16 @@ class TestStep:
         assert "[0] --a-->" in out and "[0] --b-->" in out
 
 
+    def test_budget_cut_moves_are_reported(self, capsys, monkeypatch,
+                                           tmp_path):
+        f = tmp_path / "p.mccs"
+        f.write_text("main = <a>.b.0 | <c>.~a.0;\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("q\n"))
+        assert run("step", f, "--mode", "general", "--max-seq-len", "1") == 4
+        out = capsys.readouterr().out
+        assert "--c b-->" not in out
+        assert out.count("budget") == 1
+
 class TestDot:
     def test_lts_dot(self, capsys):
         assert run("dot", path("semicounter.mccs"), "--max-states", "4") == 0

@@ -5,13 +5,15 @@ from collections import Counter
 
 import pytest
 
+import multiccs.lts
+import multiccs.nets
 from multiccs.lts import Budget
 from multiccs.nets import (
     FreshAllocator, PTNet, build_net, dec, fire, format_marking, format_pnet,
     is_reduced, is_safe, marking_graph, marking_leq, parse_pnet,
 )
 from multiccs.parser import ParseError, parse_program, parse_term
-from multiccs.sync import SyncMode
+from multiccs.sync import SyncMode, sync_outcomes
 from multiccs.terms import (
     GuardednessError, act_in, act_out, classify_finite_net, format_sequence,
 )
@@ -160,6 +162,24 @@ class TestBuiltNets:
                         budget=Budget(max_seq_len=1))
         assert full.complete and len(full.transitions) == 3
         assert not cut.complete and len(cut.transitions) == 2
+
+    def test_closure_stops_at_its_item_cap(self, monkeypatch):
+        # general-mode duplicator: k tokens enable a k-fold joint step, so
+        # the closure at a large seed grows past item_cap; it must stop
+        # pairing there instead of running the remaining queue
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return sync_outcomes(*args)
+
+        monkeypatch.setattr(multiccs.lts, "sync_outcomes", counting)
+        monkeypatch.setattr(multiccs.nets, "sync_outcomes", counting,
+                            raising=False)
+        net = build_net(load_program("duplicator"), mode=SyncMode.GENERAL,
+                        budget=Budget(max_transitions=120))
+        assert not net.complete
+        assert 0 < len(calls) < 20000
 
     def test_mode_defaults_to_the_fragment_check(self):
         sc = load_program("semicounter")
