@@ -9,7 +9,7 @@ import sys
 
 from .dot import lts_dot, net_dot
 from .equiv import (IncompleteLtsError, bisimilar, isomorphic, net_bisimilar)
-from .lts import Budget, build_lts, format_label
+from .lts import DEFAULT_BUDGET, Budget, build_lts, format_label
 from .nets import (build_net, format_marking, format_pnet, is_reduced,
                    is_safe, marking_graph, parse_pnet)
 from .net2term import TranslationError, is_ccs_net, translate
@@ -69,10 +69,11 @@ def _mode(args, program) -> SyncMode:
 
 
 def _add_common(sub, mode=True):
-    sub.add_argument("--max-states", type=int, default=10000)
-    sub.add_argument("--max-places", type=int, default=5000)
-    sub.add_argument("--max-trans", type=int, default=20000)
-    sub.add_argument("--max-seq-len", type=int, default=16)
+    d = DEFAULT_BUDGET
+    sub.add_argument("--max-states", type=int, default=d.max_states)
+    sub.add_argument("--max-places", type=int, default=d.max_places)
+    sub.add_argument("--max-trans", type=int, default=d.max_transitions)
+    sub.add_argument("--max-seq-len", type=int, default=d.max_seq_len)
     if mode:
         sub.add_argument("--mode", choices=["auto", "general", "finite-net"],
                          default="auto")
@@ -180,6 +181,9 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_bisim(args) -> int:
+    if not args.other and not args.against_net:
+        print("bisim needs a second file or --against-net", file=sys.stderr)
+        return EPARSE
     program = _load_program(args.file)
     budget = _budget(args)
     mode = _mode(args, program)
@@ -192,10 +196,6 @@ def cmd_bisim(args) -> int:
         lts2 = marking_graph(net, budget)
         other = "marking graph of its net"
     else:
-        if not args.other:
-            print("bisim needs a second file or --against-net",
-                  file=sys.stderr)
-            return EPARSE
         program2 = _load_program(args.other)
         lts2 = build_lts(program2, _mode(args, program2), budget, args.strict)
         other = args.other
@@ -413,8 +413,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as e:
-        raise e
     except OSError as e:
         print(str(e), file=sys.stderr)
         return EPARSE

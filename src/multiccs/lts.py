@@ -13,12 +13,17 @@ term-level `step` assembles a target term from them and normalizes it.
 
 `build_lts` explores a state as its top-level restricted names plus the
 counted multiset of its canonical components, (component, count) pairs in
-normal-form order.  In a state without restricted names a move rewrites
-only what it consumes: the successor is the state minus the used
-components plus the canonical components of the continuations, and each
-continuation is normalized once per build.  Binder naming is global to a
-state, so a state with top-level restrictions, and a move whose
-continuation extrudes a restriction, normalize the whole target term.
+normal-form order.  Every state takes its moves from the closure over its
+counted components, minus the moves whose label mentions one of its
+restricted names; `step` stays as an independent oracle and is never run
+on a state.  In a state without restricted names a move rewrites only what
+it consumes: the successor is the state minus the used components plus
+the canonical components of the continuations, and each continuation is
+normalized once per build.  Binder naming is global to a state, so a move
+of a state with restricted names, or one whose continuation extrudes a
+restriction, normalizes its whole target term, once per target per build.
+`explore` is the one breadth-first search, here and for the marking graph
+analyses in `nets`.
 
 A strong prefix contributes the head of an atomic sequence: the rest of
 the label comes from a move of its body, so a strong prefix whose body
@@ -31,12 +36,14 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import groupby
 
-from .normalform import NormalForm, component_order, normalize
+from .normalform import (
+    NameGen, NormalForm, component_order, normalize, split_region,
+)
 from .sync import SyncMode, sync_outcomes
 from .terms import (
-    Const, Env, GuardednessError, MccsError, Nil, Par, Prefix, Program,
-    Restrict, StrongPrefix, Sum, Term, format_sequence, format_term,
-    free_names, label_key, par_fold, sequence_names, substitute, term_key,
+    Const, Env, GuardednessError, MccsError, Nil, Prefix, Program,
+    StrongPrefix, Sum, Term, format_sequence, format_term, label_key,
+    sequence_names, term_key,
 )
 
 
@@ -156,7 +163,8 @@ class StepEngine:
     """
 
     def __init__(self, env: Env, mode: SyncMode = SyncMode.GENERAL,
-                 max_seq_len: int = 16, strict: bool = False):
+                 max_seq_len: int = DEFAULT_BUDGET.max_seq_len,
+                 strict: bool = False):
         self.env = env
         self.mode = mode
         self.max_seq_len = max_seq_len
@@ -165,7 +173,9 @@ class StepEngine:
         self._seq_cache: dict = {}
         self._term_cache: dict = {}
         self._busy: set = set()
-        self._placeholders = 0
+        # splits regions; its "§n" binder temporaries are unique for the
+        # engine's lifetime, so nested splits never shadow each other
+        self._names = NameGen(env, strict)
 
     # -- base moves of a sequential or constant component ------------------
 
@@ -202,70 +212,37 @@ class StepEngine:
                 "constant unfolding does not reach a normal prefix in %s" % t)
         self._busy.add(t)
         try:
-            binders, comps = self._flatten(t)
-            moves = self._compose(binders, comps)
+            binders, comps = split_region(t, self._names)
+            comps = Counter(comps)
+            moves = tuple(dict.fromkeys(
+                (label, self.assemble(binders, comps, used, produced))
+                for used, label, produced in self.closure(comps, binders)))
         finally:
             self._busy.discard(t)
         self._term_cache[t] = moves
         return moves
 
-    def _flatten(self, t: Term):
-        binders: list = []
-        comps: Counter = Counter()
-
-        def walk(u):
-            if isinstance(u, Par):
-                walk(u.left)
-                walk(u.right)
-            elif isinstance(u, Restrict):
-                if not self.strict and u.name not in free_names(u.body, self.env):
-                    walk(u.body)
-                    return
-                # globally unique placeholder: nested flattenings (strong
-                # prefix bodies) must never shadow an enclosing binder
-                self._placeholders += 1
-                ph = "?%d" % self._placeholders
-                binders.append(ph)
-                walk(substitute(u.body, u.name, ph, self.env))
-            elif isinstance(u, Nil):
-                if self.strict:
-                    comps[u] += 1
-            else:
-                comps[u] += 1
-
-        walk(t)
-        return binders, comps
-
-    def closure(self, comps: Counter) -> list:
-        """The pairwise closure over a component multiset: (used, label,
-        produced) items, `produced` counting continuation terms."""
+    def closure(self, comps: Counter, restricted=()) -> list:
+        """The pairwise closure over the components of new(restricted)
+        (comps), less the items whose label mentions a restricted name:
+        (used, label, produced) items, `produced` counting continuation
+        terms."""
         items, truncated = closure(
             comps,
             lambda c: [(label, Counter({cont: 1}))
                        for label, cont in self.seq_moves(c)],
             self.mode, self.max_seq_len, _MAX_ITEMS)
         self.truncated = self.truncated or truncated
-        return items
+        blocked = set(restricted)
+        return [item for item in items
+                if not sequence_names(item[1]) & blocked] if blocked else items
 
     @staticmethod
-    def assemble(binders: list, comps: Counter, used: Counter,
+    def assemble(binders, comps: Counter, used: Counter,
                  produced: Counter) -> Term:
         """The target term of a closure item of new(binders)(comps)."""
-        target = par_fold(sorted((comps - used + produced).elements(),
-                                 key=term_key))
-        for name in reversed(binders):
-            target = Restrict(name, target)
-        return target
-
-    def _compose(self, binders: list, comps: Counter) -> tuple:
-        """All (label, continuation term) moves of new(binders)(comps)."""
-        blocked = set(binders)
-        moves = {}
-        for used, label, produced in self.closure(comps):
-            if sequence_names(label) & blocked:
-                continue
-            moves[(label, self.assemble(binders, comps, used, produced))] = None
-        return tuple(moves)
+        return NormalForm(tuple(binders), tuple(sorted(
+            (comps - used + produced).elements(), key=term_key))).to_term()
 
 
 def step(state, env: Env, mode: SyncMode = SyncMode.GENERAL,
@@ -293,6 +270,40 @@ def _expand(counted) -> tuple:
     return tuple(c for c, n in counted for _ in range(n))
 
 
+def explore(init, successors, max_states: int, visit=None):
+    """Breadth-first search from the hashable state `init`.
+
+    successors(state) gives the state's (label, state) moves, in the order
+    new states get their indices.  The result is (states, edges, complete):
+    the kept states in discovery order and the (i, label, j) edges between
+    them, each once.  A new state beyond max_states is dropped and clears
+    `complete`.  visit(state, kept) sees `init` and every new state a move
+    reaches, dropped ones included; when it returns true the search stops
+    and the result is None."""
+    if visit is not None and visit(init, True):
+        return None
+    states = [init]
+    index = {init: 0}
+    edges: dict = {}
+    complete = True
+    i = 0
+    while i < len(states):
+        for label, nxt in successors(states[i]):
+            j = index.get(nxt)
+            if j is None:
+                kept = len(states) < max_states
+                if visit is not None and visit(nxt, kept):
+                    return None
+                if not kept:
+                    complete = False
+                    continue
+                j = index[nxt] = len(states)
+                states.append(nxt)
+            edges[(i, label, j)] = None
+        i += 1
+    return states, list(edges), complete
+
+
 def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
               budget: Budget = DEFAULT_BUDGET, strict: bool = False) -> Lts:
     """Breadth-first state space construction from the main term."""
@@ -300,20 +311,26 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
     engine = StepEngine(env, mode, budget.max_seq_len, strict)
     order: dict = {}      # component -> normal-form sort key
     printed: dict = {}    # component -> its text
+    texts: dict = {}      # state -> its text
     conts_nf: dict = {}   # continuation -> counted components, or None
                           # when it extrudes a restriction
+    targets: dict = {}    # whole target term -> its state
 
     def show(state) -> str:
-        restricted, comps = state
-        if restricted:
-            return NormalForm(restricted, _expand(comps)).key()
-        parts = []
-        for c, n in comps:
-            text = printed.get(c)
-            if text is None:
-                text = printed[c] = format_term(c)
-            parts.extend([text] * n)
-        return " | ".join(parts) if parts else "0"
+        text = texts.get(state)
+        if text is None:
+            restricted, comps = state
+            if restricted:
+                text = NormalForm(restricted, _expand(comps)).key()
+            else:
+                parts = []
+                for c, n in comps:
+                    if c not in printed:
+                        printed[c] = format_term(c)
+                    parts += [printed[c]] * n
+                text = " | ".join(parts) or "0"
+            texts[state] = text
+        return text
 
     def rank(kv):
         c = kv[0]
@@ -328,64 +345,37 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
             conts_nf[cont] = None if nf.restricted else _counted(nf)[1]
         return conts_nf[cont]
 
-    def successor(comps: Counter, used: Counter, produced: Counter):
-        nxt = comps - used
-        for cont, n in produced.items():
-            parts = canon(cont)
-            if parts is None:
-                # binder naming is global to the state
-                target = StepEngine.assemble([], comps, used, produced)
-                return _counted(normalize(target, env, strict))
-            for c, m in parts:
-                nxt[c] += n * m
-        return (), tuple(sorted(nxt.items(), key=rank))
+    def successor(restricted, comps: Counter, used: Counter,
+                  produced: Counter):
+        if not restricted:
+            nxt = comps - used
+            for cont, n in produced.items():
+                parts = canon(cont)
+                if parts is None:
+                    break
+                for c, m in parts:
+                    nxt[c] += n * m
+            else:
+                return (), tuple(sorted(nxt.items(), key=rank))
+        # binder naming is global to the state
+        target = StepEngine.assemble(restricted, comps, used, produced)
+        state = targets.get(target)
+        if state is None:
+            state = targets[target] = _counted(normalize(target, env, strict))
+        return state
 
-    def moves(state) -> dict:
+    def successors(state) -> list:
         restricted, counted = state
-        if restricted:
-            nf = NormalForm(restricted, _expand(counted))
-            return {(label, _counted(target)): None for label, target
-                    in step(nf, env, mode, budget, strict, engine)}
         comps = Counter(dict(counted))
-        return {(label, successor(comps, used, produced)): None
-                for used, label, produced in engine.closure(comps)}
+        moves = dict.fromkeys(
+            (label, successor(restricted, comps, used, produced))
+            for used, label, produced in engine.closure(comps, restricted))
+        return sorted(moves, key=lambda m: (label_key(m[0]), show(m[1])))
 
     init = _counted(normalize(program.main, env, strict))
-    keys = [show(init)]
-    index = {init: 0}
-    frontier = deque([init])
-    transitions = []
-    complete = True
-    while frontier:
-        state = frontier.popleft()
-        src = index[state]
-        found = []
-        fresh: dict = {}
-        for label, nxt in moves(state):
-            j = index.get(nxt)
-            if j is not None:
-                text = keys[j]
-            elif len(keys) >= budget.max_states:
-                complete = False
-                continue
-            else:
-                text = fresh.get(nxt)
-                if text is None:
-                    text = fresh[nxt] = show(nxt)
-            found.append((label_key(label), text, label, nxt))
-        found.sort(key=lambda f: f[:2])
-        for _, text, label, nxt in found:
-            j = index.get(nxt)
-            if j is None:
-                if len(keys) >= budget.max_states:
-                    complete = False
-                    continue
-                j = len(keys)
-                index[nxt] = j
-                keys.append(text)
-                frontier.append(nxt)
-            transitions.append((src, label, j))
-    return Lts(keys, transitions, 0, complete and not engine.truncated, "term")
+    states, edges, complete = explore(init, successors, budget.max_states)
+    return Lts([show(s) for s in states], edges, 0,
+               complete and not engine.truncated, "term")
 
 
 def format_label(label) -> str:

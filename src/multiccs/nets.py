@@ -14,7 +14,9 @@ Coverability is computed with a Karp-Miller tree over the transitions
 discovered so far, so transitions are admitted exactly when their preset
 is covered by some reachable marking, which keeps the net reduced and also
 handles unbounded nets such as the semi-counter.  The marking graph and
-the reducedness and safety checks share one breadth-first search.
+the reducedness and safety checks run on `lts.explore`, the breadth-first
+search of the transition-system semantics, with markings keyed by
+`marking_key`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .lts import Budget, DEFAULT_BUDGET, Lts, closure, freeze
-from .parser import ParseError, _Tokens
+from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore, freeze
+from .parser import _Tokens
 from .sync import SyncMode
 from .terms import (
     Action, Const, Env, GuardednessError, MccsError, Nil, Par, Prefix,
@@ -146,6 +148,7 @@ class NetBuilder:
         self._derived: dict = {}
         self._busy: set = set()
         self.item_cap = max(512, 4 * budget.max_transitions)
+        self.truncated_items = False
 
     # -- moves of a single place (labels may contain restricted actions) ----
 
@@ -482,47 +485,23 @@ def build_net(program: Program, mode: SyncMode | None = None,
 
 
 def _explore(net: PTNet, budget: Budget, visit=None):
-    """Breadth-first search of the reachable markings, keyed by
-    `marking_key`: (markings, edges, complete), the kept markings in
-    discovery order and the (i, label, j) edges between them, each once.
-    A new marking beyond budget.max_states is dropped and clears
-    `complete`.  visit(m, kept) sees the initial marking and every new
-    marking a firing reaches, dropped ones included; when it returns true
-    the search stops and the result is None."""
-    init = Counter(net.initial)
-    if visit is not None and visit(init, True):
-        return None
-    markings = [init]
-    index = {marking_key(init): 0}
-    edges: dict = {}
-    complete = True
-    i = 0
-    while i < len(markings):
-        m = markings[i]
-        for pre, label, post in net.transitions:
-            if not marking_leq(pre, m):
-                continue
-            nxt = fire(m, pre, post)
-            k = marking_key(nxt)
-            j = index.get(k)
-            if j is None:
-                kept = len(markings) < budget.max_states
-                if visit is not None and visit(nxt, kept):
-                    return None
-                if not kept:
-                    complete = False
-                    continue
-                j = index[k] = len(markings)
-                markings.append(nxt)
-            edges[(i, label, j)] = None
-        i += 1
-    return markings, list(edges), complete
+    """`lts.explore` over the reachable markings of net, each state its
+    `marking_key`; visit(m, kept) sees the markings as Counters."""
+    def successors(key) -> list:
+        m = Counter(dict(key))
+        return [(label, marking_key(fire(m, pre, post)))
+                for pre, label, post in net.transitions
+                if marking_leq(pre, m)]
+
+    hook = visit and (lambda key, kept: visit(Counter(dict(key)), kept))
+    return explore(marking_key(net.initial), successors, budget.max_states,
+                   hook)
 
 
 def marking_graph(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> Lts:
     """Reachability graph: states are markings, edges are transition labels."""
-    markings, edges, complete = _explore(net, budget)
-    states = [format_marking(m, net.place_names) for m in markings]
+    keys, edges, complete = _explore(net, budget)
+    states = [format_marking(dict(k), net.place_names) for k in keys]
     return Lts(states, edges, 0, complete, "marking")
 
 

@@ -14,7 +14,10 @@ well; all of the above changes the term at most up to strong bisimilarity.
 strict=True keeps dead components and unused restrictions.
 
 Name families (all disjoint from parseable names):
-  "§%d"  unique temporaries while canonicalizing (never escape),
+  "§%d"  unique temporaries of one `NameGen`: while canonicalizing, and
+         the binders of the target terms a `lts.StepEngine` assembles
+         (never in a normal form; substitution alpha-converts any clash
+         between the two),
   "ν%d"  canonical names bound at the top of a normal form,
   "β%d"  canonical bound names inside a component.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    Const, Env, NIL, Nil, Par, Prefix, Restrict, StrongPrefix, Sum,
+    Const, Env, Nil, Par, Prefix, Restrict, StrongPrefix, Sum,
     Term, format_term, free_names, par_fold, subst_map, substitute,
 )
 
@@ -56,8 +59,9 @@ class NormalForm:
         return self.key()
 
 
-class _Gen:
-    """Per-normalization state: temporary names and skeleton memo."""
+class NameGen:
+    """Temporary names, free-name and skeleton memos: one per
+    normalization, or one for the lifetime of a `lts.StepEngine`."""
 
     def __init__(self, env: Env, strict: bool):
         self.env = env
@@ -79,7 +83,7 @@ class _Gen:
 
 
 def normalize(t: Term, env: Env, strict: bool = False) -> NormalForm:
-    gen = _Gen(env, strict)
+    gen = NameGen(env, strict)
     names, comps = _canon_region(t, {}, 0, gen, top=True)
     return NormalForm(tuple(names), tuple(comps))
 
@@ -88,7 +92,7 @@ def component_order(c: Term, env: Env, strict: bool = False):
     """Sort key of a component at the top of a normal form without
     restrictions: `normalize` lists such components in increasing order
     of it, and distinct canonical components have distinct keys."""
-    return _skel(c, {}, 1, _Gen(env, strict))
+    return _skel(c, {}, 1, NameGen(env, strict))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +103,10 @@ def component_order(c: Term, env: Env, strict: bool = False):
 # temporary so no shadowing survives into later passes.
 
 
-def _split_region(t: Term, gen: _Gen):
+def split_region(t: Term, gen: NameGen):
+    """The binders and components of the region t: restrictions are opened
+    with fresh temporaries, parallel compositions flattened, and (unless
+    gen.strict) 0 components and unused restrictions dropped."""
     binders: list = []
     comps: list = []
 
@@ -124,14 +131,14 @@ def _split_region(t: Term, gen: _Gen):
     return binders, comps
 
 
-def _canon_region(t: Term, scope: dict, depth: int, gen: _Gen,
+def _canon_region(t: Term, scope: dict, depth: int, gen: NameGen,
                   top: bool = False, counter=None):
     """Canonical (binder names, component terms) of one region.
 
     scope maps every enclosing bound name to its canonical token; depth
     is the region nesting level (tokens from different levels must not
     collide)."""
-    binders, comps = _split_region(t, gen)
+    binders, comps = split_region(t, gen)
     names: list = []
     if binders:
         coloring = _assign(binders, comps, scope, depth, gen)
@@ -154,7 +161,7 @@ def _canon_region(t: Term, scope: dict, depth: int, gen: _Gen,
     return names, out
 
 
-def _canon_component(t: Term, scope: dict, depth: int, gen: _Gen, counter):
+def _canon_component(t: Term, scope: dict, depth: int, gen: NameGen, counter):
     if isinstance(t, (Nil, Const)):
         return t
     if isinstance(t, (Prefix, StrongPrefix)):
@@ -166,12 +173,10 @@ def _canon_component(t: Term, scope: dict, depth: int, gen: _Gen, counter):
     raise TypeError("not a region component: %r" % (t,))
 
 
-def _region_term(t: Term, scope: dict, depth: int, gen: _Gen, counter) -> Term:
+def _region_term(t: Term, scope: dict, depth: int, gen: NameGen,
+                 counter) -> Term:
     names, comps = _canon_region(t, scope, depth, gen, counter=counter)
-    body = par_fold(comps)
-    for name in reversed(names):
-        body = Restrict(name, body)
-    return body
+    return NormalForm(tuple(names), tuple(comps)).to_term()
 
 
 class _Counter:
@@ -194,7 +199,7 @@ def _slot(name: str, scope: dict):
     return scope.get(name, ("f", name))
 
 
-def _skel(t: Term, scope: dict, depth: int, gen: _Gen):
+def _skel(t: Term, scope: dict, depth: int, gen: NameGen):
     key = (t, depth,
            tuple(sorted((n, v) for n, v in scope.items() if n in gen.fns(t))))
     hit = gen.memo.get(key)
@@ -204,7 +209,7 @@ def _skel(t: Term, scope: dict, depth: int, gen: _Gen):
     return hit
 
 
-def _skel_raw(t: Term, scope: dict, depth: int, gen: _Gen):
+def _skel_raw(t: Term, scope: dict, depth: int, gen: NameGen):
     if isinstance(t, Nil):
         return (0,)
     if isinstance(t, (Prefix, StrongPrefix)):
@@ -225,8 +230,8 @@ def _skel_raw(t: Term, scope: dict, depth: int, gen: _Gen):
     raise TypeError("not a region component: %r" % (t,))
 
 
-def _skel_region(t: Term, scope: dict, depth: int, gen: _Gen):
-    binders, comps = _split_region(t, gen)
+def _skel_region(t: Term, scope: dict, depth: int, gen: NameGen):
+    binders, comps = split_region(t, gen)
     if binders:
         coloring = _assign(binders, comps, scope, depth, gen)
         scope = dict(scope)
@@ -241,13 +246,13 @@ def _skel_region(t: Term, scope: dict, depth: int, gen: _Gen):
 
 
 def _assign(binders: list, comps: list, scope: dict, depth: int,
-            gen: _Gen) -> dict:
+            gen: NameGen) -> dict:
     colors = _refine({b: 0 for b in binders}, binders, comps, scope, depth, gen)
     return _resolve(colors, binders, comps, scope, depth, gen)
 
 
 def _sig(b: str, colors: dict, binders: list, comps: list, scope: dict,
-         depth: int, gen: _Gen):
+         depth: int, gen: NameGen):
     trial = dict(scope)
     for b2 in binders:
         trial[b2] = ("v", depth, ("t",) if b2 == b else ("c", colors[b2]))
@@ -255,7 +260,7 @@ def _sig(b: str, colors: dict, binders: list, comps: list, scope: dict,
 
 
 def _refine(colors: dict, binders: list, comps: list, scope: dict,
-            depth: int, gen: _Gen) -> dict:
+            depth: int, gen: NameGen) -> dict:
     while True:
         sigs = {b: _sig(b, colors, binders, comps, scope, depth, gen)
                 for b in binders}
@@ -268,7 +273,7 @@ def _refine(colors: dict, binders: list, comps: list, scope: dict,
 
 
 def _resolve(colors: dict, binders: list, comps: list, scope: dict,
-             depth: int, gen: _Gen) -> dict:
+             depth: int, gen: NameGen) -> dict:
     classes: dict = {}
     for b in binders:
         classes.setdefault(colors[b], []).append(b)

@@ -198,15 +198,12 @@ for _cls in (Nil, Prefix, StrongPrefix, Sum, Par, Restrict, Const):
     _cls.__hash__ = _cached_hash
 
 
-_KEY_CACHE: dict = {}
-
-
 def term_key(t: Term):
     """Total structural order on terms (used for canonical sorting)."""
-    k = _KEY_CACHE.get(t)
+    k = t.__dict__.get("_k")
     if k is None:
         k = _term_key(t)
-        _KEY_CACHE[t] = k
+        object.__setattr__(t, "_k", k)
     return k
 
 

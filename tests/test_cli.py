@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import multiccs.cli
 import multiccs.lts
 from multiccs.cli import main
 from multiccs.nets import parse_pnet
@@ -181,6 +182,15 @@ class TestComparisons:
 
     def test_bisim_needs_a_second_system(self, capsys):
         assert run("bisim", path("dining.mccs")) == 2
+
+    def test_bisim_usage_is_checked_before_any_build(self, capsys,
+                                                      monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("build_lts called before the usage check")
+
+        monkeypatch.setattr(multiccs.cli, "build_lts", fail)
+        assert run("bisim", path("counter.mccs")) == 2
+        assert "second file or --against-net" in capsys.readouterr().err
 
     def test_bisim_truncated_is_a_budget_error(self, capsys):
         assert run("bisim", path("semicounter.mccs"), "--against-net",

@@ -181,6 +181,14 @@ class TestBuiltNets:
         assert not net.complete
         assert 0 < len(calls) < 20000
 
+    def test_derive_items_before_build(self):
+        prog = parse_program("main = a.0 | ~a.0;")
+        builder = multiccs.nets.NetBuilder(prog.env, SyncMode.GENERAL)
+        items = builder.derive_items(dec(prog.main, prog.env))
+        assert sorted(format_sequence(label) for _, label, _ in items) \
+            == ["a", "tau", "~a"]
+        assert not builder.truncated_items
+
     def test_mode_defaults_to_the_fragment_check(self):
         sc = load_program("semicounter")
         assert classify_finite_net(sc)[0]
