@@ -218,14 +218,14 @@ class NetBuilder:
             order.append(p)
             return True
 
-        complete = True
-        for p in m0:
-            if not register(p):
-                complete = False
+        # register every initial place that fits; if one does not, the net
+        # is truncated to those places with nothing explored
+        fits = all([register(p) for p in m0])
+        complete = fits
         transitions: dict = {}
         self.truncated_items = False
 
-        while True:
+        while fits:
             markings, km_complete = self._coverability(m0, transitions.values())
             complete = complete and km_complete
             grew = False
@@ -250,7 +250,7 @@ class NetBuilder:
             if not grew or not complete:
                 break
 
-        if (not complete and len(order) == known_places
+        if (fits and not complete and len(order) == known_places
                 and not self.truncated_items):
             # the structure stopped growing before the marking search could
             # saturate: decide enabledness exactly instead
@@ -269,7 +269,8 @@ class NetBuilder:
         net = PTNet(
             name=name,
             place_names=["s%d" % (i + 1) for i in range(len(order))],
-            initial=Counter({place_index[s]: n for s, n in m0.items()}),
+            initial=Counter({place_index[s]: n for s, n in m0.items()
+                             if s in place_index}),
             transitions=trans,
             trans_names=["t%d" % (i + 1) for i in range(len(trans))],
             complete=complete,

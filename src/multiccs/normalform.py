@@ -25,7 +25,10 @@ Binder naming may not depend on the order in which binders are written
 (scope manipulation permutes it), so each region names its binders by
 iterated signature refinement over the region's component multiset;
 remaining symmetric groups are split by individualization, keeping the
-assignment that renders the least skeleton.
+assignment that renders the least skeleton.  Individualization skips a
+candidate when swapping it with an already tried one maps the region onto
+itself: that swap is an automorphism, so both branches render the same
+skeletons.
 """
 
 from __future__ import annotations
@@ -251,12 +254,18 @@ def _assign(binders: list, comps: list, scope: dict, depth: int,
     return _resolve(colors, binders, comps, scope, depth, gen)
 
 
+def _render(tokens: dict, comps: list, scope: dict, depth: int,
+            gen: NameGen) -> tuple:
+    """Sorted skeletons of comps with the region's binders read as tokens."""
+    trial = dict(scope)
+    trial.update(tokens)
+    return tuple(sorted(_skel(c, trial, depth + 1, gen) for c in comps))
+
+
 def _sig(b: str, colors: dict, binders: list, comps: list, scope: dict,
          depth: int, gen: NameGen):
-    trial = dict(scope)
-    for b2 in binders:
-        trial[b2] = ("v", depth, ("t",) if b2 == b else ("c", colors[b2]))
-    return tuple(sorted(_skel(c, trial, depth + 1, gen) for c in comps))
+    return _render({b2: ("v", depth, ("t",) if b2 == b else ("c", colors[b2]))
+                    for b2 in binders}, comps, scope, depth, gen)
 
 
 def _refine(colors: dict, binders: list, comps: list, scope: dict,
@@ -280,17 +289,25 @@ def _resolve(colors: dict, binders: list, comps: list, scope: dict,
     ambiguous = [c for c in sorted(classes) if len(classes[c]) > 1]
     if not ambiguous:
         return colors
+    # Swapping two binders of one class that maps the components onto
+    # themselves is an automorphism fixing the colouring: both branches
+    # render the same keys, so only the first is searched.
+    ids = {b: ("v", depth, ("u", i)) for i, b in enumerate(binders)}
+    plain = _render(ids, comps, scope, depth, gen)
     fresh = max(colors.values()) + 1
     best = best_key = None
+    tried: list = []
     for b in classes[ambiguous[0]]:
+        if any(_render({**ids, a: ids[b], b: ids[a]}, comps, scope, depth,
+                       gen) == plain for a in tried):
+            continue
+        tried.append(b)
         trial = dict(colors)
         trial[b] = fresh
         cand = _resolve(_refine(trial, binders, comps, scope, depth, gen),
                         binders, comps, scope, depth, gen)
-        tokens = dict(scope)
-        for b2 in binders:
-            tokens[b2] = ("v", depth, ("c", cand[b2]))
-        key = tuple(sorted(_skel(c, tokens, depth + 1, gen) for c in comps))
+        key = _render({b2: ("v", depth, ("c", cand[b2])) for b2 in binders},
+                      comps, scope, depth, gen)
         if best_key is None or key < best_key:
             best, best_key = cand, key
     return best

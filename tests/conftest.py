@@ -87,6 +87,26 @@ def random_finite_net_program(rng) -> Program:
     return Program(env, main)
 
 
+# ---------------------------------------------------------------------------
+# binder regions, as program text
+
+
+LINK_KINDS = ("arc", "edge", "strong", "nest")
+
+
+def binder_link(kind: str, u: str, v: str, label: str = "x") -> str:
+    """One sequential component relating bound name u to bound name v."""
+    if kind == "arc":
+        return "%s.~%s.0" % (u, v)
+    if kind == "edge":
+        # undirected: the body region does not order its components
+        return "%s.(%s.0 | %s.0)" % (label, u, v)
+    if kind == "strong":
+        return "<%s>.~%s.0" % (u, v)
+    # a restricted name of its own under the prefix
+    return "%s.(new(q)(q.~%s.0 | ~q.%s.0))" % (label, u, v)
+
+
 PROBE = Budget(max_states=300, max_places=200, max_transitions=500)
 
 

@@ -116,6 +116,17 @@ class TestNet:
     def test_budget_exhaustion(self, capsys):
         assert run("net", path("counter.mccs"), "--max-states", "20") == 4
 
+    @pytest.mark.parametrize("text, cap", [("main = a.0 | b.0;", 1),
+                                           ("main = a.0;", 0)])
+    def test_initial_marking_over_the_place_cap_is_a_budget_error(
+            self, capsys, tmp_path, text, cap):
+        f = tmp_path / "p.mccs"
+        f.write_text(text + "\n")
+        assert run("net", f, "--max-places", cap) == 4
+        captured = capsys.readouterr()
+        assert "truncated" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_out_is_reparseable(self, capsys, tmp_path):
         out = tmp_path / "dining.pnet"
         assert run("net", path("dining.mccs"), "--out", out) == 0

@@ -181,6 +181,17 @@ class TestBuiltNets:
         assert not net.complete
         assert 0 < len(calls) < 20000
 
+    @pytest.mark.parametrize("text, cap", [("main = a.0 | b.0;", 1),
+                                           ("main = a.0;", 0)])
+    def test_initial_marking_over_the_place_cap_truncates(self, text, cap):
+        # the places that fit make a truncated net; no KeyError from the
+        # initial places that did not
+        net = build_net(parse_program(text), budget=Budget(max_places=cap))
+        assert not net.complete
+        assert len(net.place_names) == cap
+        assert set(net.initial) == set(range(cap))
+        assert format_pnet(net)
+
     def test_derive_items_before_build(self):
         prog = parse_program("main = a.0 | ~a.0;")
         builder = multiccs.nets.NetBuilder(prog.env, SyncMode.GENERAL)

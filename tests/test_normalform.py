@@ -5,12 +5,17 @@ enlargement, renaming of a bound name)."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multiccs.normalform as normalform
+from multiccs.lts import Budget, build_lts
+from multiccs.net2term import translate
 from multiccs.normalform import normalize
 from multiccs.parser import parse_term
 from multiccs.terms import (
     Const, Env, NIL, Par, Prefix, Restrict, StrongPrefix, Sum, TAU_ACT,
     act_in, act_out, free_names, substitute,
 )
+
+from conftest import LINK_KINDS, binder_link, load_net
 
 
 @pytest.fixture
@@ -214,3 +219,94 @@ def test_strict_refines_lax(t):
     env = _env()
     u = Par(t, NIL)
     assert normalize(u, env).key() == normalize(t, env).key()
+
+
+# -- symmetric binder regions --------------------------------------------------
+#
+# The strategy above draws binders from a, b, c only, so it almost never
+# builds a class of three or more binders that refinement cannot split.
+# These regions have 3-6 binders and are built to be symmetric.
+
+_POOL = ["n%d" % i for i in range(12)]
+
+
+@st.composite
+def _symmetric_regions(draw):
+    """(binder count, links (kind, i, j, label) over binder indices): each
+    drawn pattern is applied at every binder, so most regions have large
+    tied classes, and a few stray links break some of the symmetry."""
+    k = draw(st.integers(3, 6))
+    links = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(LINK_KINDS))
+        label = draw(st.sampled_from("xy"))
+        pattern = draw(st.sampled_from(["rotate", "each", "all"]))
+        if pattern == "rotate":
+            d = draw(st.integers(1, k - 1))
+            links += [(kind, i, (i + d) % k, label) for i in range(k)]
+        elif pattern == "each":
+            links += [(kind, i, i, label) for i in range(k)]
+        else:
+            links += [(kind, i, j, label)
+                      for i in range(k) for j in range(i + 1, k)]
+    for _ in range(draw(st.integers(0, 2))):
+        links.append((draw(st.sampled_from(LINK_KINDS)),
+                      draw(st.integers(0, k - 1)),
+                      draw(st.integers(0, k - 1)), "x"))
+    return k, links
+
+
+def _fold(parts, rnd):
+    if len(parts) == 1:
+        return parts[0]
+    cut = rnd.randint(1, len(parts) - 1)
+    return "(%s | %s)" % (_fold(parts[:cut], rnd), _fold(parts[cut:], rnd))
+
+
+def _region_text(k, links, rnd=None):
+    """The region in plain form, or, given rnd, with the bound names
+    renamed, the declarations permuted and split into nested restrictions,
+    and the components shuffled and re-associated."""
+    names = ["v%d" % i for i in range(k)] if rnd is None else \
+        rnd.sample(_POOL, k)
+    comps = [binder_link(kind, names[i], names[j], label)
+             for kind, i, j, label in links]
+    if rnd is None:
+        return "new(%s)(%s)" % (", ".join(names), " | ".join(comps))
+    rnd.shuffle(comps)
+    body = _fold(comps, rnd)
+    decl = rnd.sample(names, k)
+    cut = rnd.randint(1, k)
+    if cut < k:
+        body = "new(%s)(%s)" % (", ".join(decl[cut:]), body)
+    return "new(%s)(%s)" % (", ".join(decl[:cut]), body)
+
+
+@given(_symmetric_regions(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_symmetric_region_keys_ignore_presentation(region, rnd):
+    k, links = region
+    env = _env()
+    base = parse_term(_region_text(k, links))
+    variant = parse_term(_region_text(k, links, rnd))
+    for strict in (False, True):
+        assert (normalize(variant, env, strict).key()
+                == normalize(base, env, strict).key())
+
+
+def test_symmetric_binders_are_individualized_once_per_orbit(monkeypatch):
+    # each strict state of the translated philosophers holds a 12-binder
+    # region with tied classes of 4, 3 and 2 binders; trying every member
+    # of each class made 1025 refinements over 12 states
+    calls = []
+    real = normalform._refine
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(normalform, "_refine", counting)
+    lts = build_lts(translate(load_net("phils")),
+                    budget=Budget(max_states=12), strict=True)
+    assert len(lts.states) == 12
+    assert len(calls) <= 150
