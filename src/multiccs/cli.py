@@ -68,12 +68,25 @@ def _mode(args, program) -> SyncMode:
     return SyncMode.FINITE_NET if flag else SyncMode.GENERAL
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, not %s" % (low, text))
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _add_common(sub, mode=True):
     d = DEFAULT_BUDGET
-    sub.add_argument("--max-states", type=int, default=d.max_states)
-    sub.add_argument("--max-places", type=int, default=d.max_places)
-    sub.add_argument("--max-trans", type=int, default=d.max_transitions)
-    sub.add_argument("--max-seq-len", type=int, default=d.max_seq_len)
+    sub.add_argument("--max-states", type=_at_least(0), default=d.max_states)
+    sub.add_argument("--max-places", type=_at_least(0), default=d.max_places)
+    sub.add_argument("--max-trans", type=_at_least(0),
+                     default=d.max_transitions)
+    sub.add_argument("--max-seq-len", type=_at_least(1),
+                     default=d.max_seq_len)
     if mode:
         sub.add_argument("--mode", choices=["auto", "general", "finite-net"],
                          default="auto")
@@ -123,8 +136,7 @@ def cmd_net(args) -> int:
         net = _load_net(args.file)
     else:
         program = _load_program(args.file)
-        net = build_net(program, None if args.mode == "auto"
-                        else _mode(args, program), _budget(args))
+        net = build_net(program, _mode(args, program), _budget(args))
     print("net %s: %s" % (net.name, net.summary()))
     for i, pname in enumerate(net.place_names):
         term = ""
@@ -308,8 +320,7 @@ def cmd_dot(args) -> int:
     else:
         program = _load_program(args.file)
         if args.net:
-            output = net_dot(build_net(program, None if args.mode == "auto"
-                                       else _mode(args, program),
+            output = net_dot(build_net(program, _mode(args, program),
                                        _budget(args)))
         else:
             output = lts_dot(build_lts(program, _mode(args, program),

@@ -8,6 +8,13 @@ recorder: when the initial states end up in different blocks, the stage
 at which any two states first separated drives the construction of a
 modal formula that holds in one system and fails in the other.
 
+Isomorphism refines the places of both nets together with the signature
+refinement loop of `normalform` (`_refine`), starting from the initial
+tokens: a place's signature is the multiset of transitions, coloured by
+label and by the colours of their presets and postsets, that it feeds and
+is fed by.  A backtracker then maps each place only to places of the
+other net with its colour.
+
 Both semantic checks refuse truncated inputs: a system cut short by a
 budget proves nothing about the states it never explored.
 """
@@ -17,6 +24,7 @@ from dataclasses import dataclass
 
 from .lts import Budget, DEFAULT_BUDGET, Lts, format_label
 from .nets import PTNet, marking_graph, marking_key
+from .normalform import _refine
 from .terms import MccsError, label_key
 
 __all__ = [
@@ -236,66 +244,53 @@ def _canon_transitions(net: PTNet, perm=None):
     return out
 
 
-def _place_colors(net: PTNet):
-    """Iterated invariant refinement: colors any isomorphism must respect."""
-    n = len(net.place_names)
-    color = {s: net.initial.get(s, 0) for s in range(n)}
-    while True:
-        tcol = []
-        for pre, lab, post in net.transitions:
-            tcol.append((label_key(lab),
-                         tuple(sorted((color[s], w) for s, w in pre.items())),
-                         tuple(sorted((color[s], w) for s, w in post.items()))))
-        sig = {}
-        for s in range(n):
-            ins = tuple(sorted((tcol[i], pre[s])
-                               for i, (pre, _, _) in enumerate(net.transitions)
-                               if pre.get(s, 0)))
-            outs = tuple(sorted((tcol[i], post[s])
-                                for i, (_, _, post) in enumerate(net.transitions)
-                                if post.get(s, 0)))
-            sig[s] = (color[s], ins, outs)
-        # Renumber by sorted-signature rank, not first-seen order: the new
-        # colors must not depend on the net's own place numbering, or the
-        # signatures of two isomorphic nets drift apart after one round.
-        ranked = {sg: i for i, sg in enumerate(sorted(set(sig.values())))}
-        nxt = {s: ranked[sig[s]] for s in range(n)}
-        if len(ranked) == len(set(color.values())):
-            return nxt, {s: sig[s] for s in range(n)}
-        color = nxt
-
-
 def isomorphic(n1: PTNet, n2: PTNet) -> IsoResult:
     """Exact isomorphism check: a place bijection preserving the initial
-    marking and mapping the transition set onto the other's."""
+    marking and mapping the transition set onto the other's.  A colour
+    means the same in both nets, so a place is tried only against the
+    other net's places of its colour."""
     if (len(n1.place_names) != len(n2.place_names)
             or len(n1.transitions) != len(n2.transitions)):
         return IsoResult(False, None)
 
-    _, sig1 = _place_colors(n1)
-    _, sig2 = _place_colors(n2)
-    from collections import Counter as _C
-    if _C(sig1.values()) != _C(sig2.values()):
+    def signatures(colors):
+        # keyed (side, place): the coloured transitions a place feeds and
+        # is fed by, with the arc weights
+        arcs: dict = {p: ([], []) for p in colors}
+        for side, net in enumerate((n1, n2)):
+            for pre, lab, post in net.transitions:
+                ends = [[(s, w) for s, w in m.items() if w]
+                        for m in (pre, post)]
+                tcol = (label_key(lab),) + tuple(
+                    tuple(sorted((colors[side, s], w) for s, w in end))
+                    for end in ends)
+                for k, end in enumerate(ends):
+                    for s, w in end:
+                        arcs[side, s][k].append((tcol, w))
+        return {p: tuple(tuple(sorted(a)) for a in arcs[p]) for p in colors}
+
+    colors = _refine({(side, s): net.initial.get(s, 0)
+                      for side, net in enumerate((n1, n2))
+                      for s in range(len(net.place_names))}, signatures)
+    classes: dict = defaultdict(lambda: ([], []))
+    for (side, s), c in colors.items():
+        classes[c][side].append(s)
+    if any(len(a) != len(b) for a, b in classes.values()):
         return IsoResult(False, None)
 
     target = _canon_transitions(n2)
-    init2 = dict(n2.initial)
-    candidates = {s: sorted(t for t in sig2 if sig2[t] == sig1[s])
-                  for s in sig1}
-    order = sorted(sig1, key=lambda s: len(candidates[s]))
+    candidates = {s: classes[colors[0, s]][1]
+                  for s in range(len(n1.place_names))}
+    order = sorted(candidates, key=lambda s: len(candidates[s]))
     used: set = set()
     perm: dict = {}
 
     def assign(i) -> bool:
         if i == len(order):
-            if {perm[s]: n for s, n in n1.initial.items() if n} != init2:
-                return False
             return _canon_transitions(n1, perm) == target
         s = order[i]
         for t in candidates[s]:
             if t in used:
-                continue
-            if n1.initial.get(s, 0) != init2.get(t, 0):
                 continue
             perm[s] = t
             used.add(t)

@@ -29,15 +29,22 @@ assignment that renders the least skeleton.  Individualization skips a
 candidate when swapping it with an already tried one maps the region onto
 itself: that swap is an automorphism, so both branches render the same
 skeletons.
+
+Each region is canonicalized once.  Its skeleton already holds every
+binder's final colour, so `normalize` reads the canonical term off the
+skeleton of the whole term (`_term_of`) rather than renaming and sorting
+each region a second time.  The refinement loop, `_refine`, is the only
+one in the package: `equiv` colours net places with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .terms import (
-    Const, Env, Nil, Par, Prefix, Restrict, StrongPrefix, Sum,
-    Term, format_term, free_names, par_fold, subst_map, substitute,
+    NIL, TAU_ACT, Const, Env, Nil, Par, Prefix, Restrict, StrongPrefix, Sum,
+    Term, act_in, act_out, format_term, free_names, par_fold, substitute,
 )
 
 NU = "ν"
@@ -86,9 +93,11 @@ class NameGen:
 
 
 def normalize(t: Term, env: Env, strict: bool = False) -> NormalForm:
-    gen = NameGen(env, strict)
-    names, comps = _canon_region(t, {}, 0, gen, top=True)
-    return NormalForm(tuple(names), tuple(comps))
+    _, n, skels = _skel_region(t, {}, 0, NameGen(env, strict))
+    names = tuple(NU + str(k + 1) for k in range(n))
+    tokens = {("v", 0, ("c", k)): name for k, name in enumerate(names)}
+    return NormalForm(names, tuple(_term_of(c, tokens, 1, count(1))
+                                   for c in skels))
 
 
 def component_order(c: Term, env: Env, strict: bool = False):
@@ -134,65 +143,6 @@ def split_region(t: Term, gen: NameGen):
     return binders, comps
 
 
-def _canon_region(t: Term, scope: dict, depth: int, gen: NameGen,
-                  top: bool = False, counter=None):
-    """Canonical (binder names, component terms) of one region.
-
-    scope maps every enclosing bound name to its canonical token; depth
-    is the region nesting level (tokens from different levels must not
-    collide)."""
-    binders, comps = split_region(t, gen)
-    names: list = []
-    if binders:
-        coloring = _assign(binders, comps, scope, depth, gen)
-        order = sorted(binders, key=lambda b: coloring[b])
-        scope = dict(scope)
-        mapping = {}
-        for i, b in enumerate(order):
-            name = NU + str(i + 1) if top else BETA + str(counter.next())
-            names.append(name)
-            mapping[b] = name
-            scope[name] = ("v", depth, ("c", coloring[b]))
-        comps = [subst_map(c, mapping, gen.env) for c in comps]
-    keyed = sorted(
-        ((_skel(c, scope, depth + 1, gen), i) for i, c in enumerate(comps)))
-    out = []
-    for _, i in keyed:
-        c = comps[i]
-        ctr = _Counter() if top else counter
-        out.append(_canon_component(c, scope, depth + 1, gen, ctr))
-    return names, out
-
-
-def _canon_component(t: Term, scope: dict, depth: int, gen: NameGen, counter):
-    if isinstance(t, (Nil, Const)):
-        return t
-    if isinstance(t, (Prefix, StrongPrefix)):
-        return type(t)(t.action,
-                       _region_term(t.body, scope, depth, gen, counter))
-    if isinstance(t, Sum):
-        return Sum(_canon_component(t.left, scope, depth, gen, counter),
-                   _canon_component(t.right, scope, depth, gen, counter))
-    raise TypeError("not a region component: %r" % (t,))
-
-
-def _region_term(t: Term, scope: dict, depth: int, gen: NameGen,
-                 counter) -> Term:
-    names, comps = _canon_region(t, scope, depth, gen, counter=counter)
-    return NormalForm(tuple(names), tuple(comps)).to_term()
-
-
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-    def next(self) -> int:
-        self.n += 1
-        return self.n
-
-
 # ---------------------------------------------------------------------------
 # skeletons: complete structural descriptions with names translated to
 # scope tokens, so that equal skeletons mean equal canonical terms
@@ -233,7 +183,39 @@ def _skel_raw(t: Term, scope: dict, depth: int, gen: NameGen):
     raise TypeError("not a region component: %r" % (t,))
 
 
+def _term_of(skel: tuple, tokens: dict, depth: int, counter) -> Term:
+    """The canonical component a skeleton at `depth` describes.  tokens
+    names the binder tokens in scope; counter numbers the β binders of
+    one top-level component: a region numbers its binders in colour order,
+    then its components in skeleton order, a sum left before right."""
+    tag = skel[0]
+    if tag == 0:
+        return NIL
+    if tag == 3:
+        return Sum(_term_of(skel[1], tokens, depth, counter),
+                   _term_of(skel[2], tokens, depth, counter))
+    if tag == 6:
+        return Const(skel[1], tuple((old, _name(slot, tokens))
+                                    for old, slot in skel[2]))
+    _, (kind, slot), (_, n, comps) = skel
+    names = tuple(BETA + str(next(counter)) for _ in range(n))
+    inner = dict(tokens)
+    inner.update({("v", depth, ("c", k)): b for k, b in enumerate(names)})
+    body = NormalForm(names, tuple(_term_of(c, inner, depth + 1, counter)
+                                   for c in comps)).to_term()
+    action = (TAU_ACT if kind == 0 else
+              (act_in if kind == 1 else act_out)(_name(slot, tokens)))
+    return (Prefix if tag == 1 else StrongPrefix)(action, body)
+
+
+def _name(slot: tuple, tokens: dict) -> str:
+    return slot[1] if slot[0] == "f" else tokens[slot]
+
+
 def _skel_region(t: Term, scope: dict, depth: int, gen: NameGen):
+    """(7, binder count, sorted component skeletons) of the region t.
+    scope maps every enclosing bound name to its token; depth is the
+    region's nesting level, so tokens of different levels never collide."""
     binders, comps = split_region(t, gen)
     if binders:
         coloring = _assign(binders, comps, scope, depth, gen)
@@ -250,8 +232,12 @@ def _skel_region(t: Term, scope: dict, depth: int, gen: NameGen):
 
 def _assign(binders: list, comps: list, scope: dict, depth: int,
             gen: NameGen) -> dict:
-    colors = _refine({b: 0 for b in binders}, binders, comps, scope, depth, gen)
-    return _resolve(colors, binders, comps, scope, depth, gen)
+    def signatures(colors):
+        return {b: _sig(b, colors, binders, comps, scope, depth, gen)
+                for b in binders}
+
+    colors = _refine({b: 0 for b in binders}, signatures)
+    return _resolve(colors, signatures, binders, comps, scope, depth, gen)
 
 
 def _render(tokens: dict, comps: list, scope: dict, depth: int,
@@ -268,21 +254,22 @@ def _sig(b: str, colors: dict, binders: list, comps: list, scope: dict,
                     for b2 in binders}, comps, scope, depth, gen)
 
 
-def _refine(colors: dict, binders: list, comps: list, scope: dict,
-            depth: int, gen: NameGen) -> dict:
+def _refine(colors: dict, signatures) -> dict:
+    """Iterated signature refinement, shared with `equiv`: rank every
+    member by (colour, signature) in sorted order until the ranks repeat.
+    signatures(colors) gives every member's signature under colors."""
     while True:
-        sigs = {b: _sig(b, colors, binders, comps, scope, depth, gen)
-                for b in binders}
-        ordered = sorted({(colors[b], sigs[b]) for b in binders})
+        sigs = signatures(colors)
+        ordered = sorted({(colors[m], sigs[m]) for m in colors})
         rank = {cs: i for i, cs in enumerate(ordered)}
-        new = {b: rank[(colors[b], sigs[b])] for b in binders}
+        new = {m: rank[(colors[m], sigs[m])] for m in colors}
         if new == colors:
             return colors
         colors = new
 
 
-def _resolve(colors: dict, binders: list, comps: list, scope: dict,
-             depth: int, gen: NameGen) -> dict:
+def _resolve(colors: dict, signatures, binders: list, comps: list,
+             scope: dict, depth: int, gen: NameGen) -> dict:
     classes: dict = {}
     for b in binders:
         classes.setdefault(colors[b], []).append(b)
@@ -304,7 +291,7 @@ def _resolve(colors: dict, binders: list, comps: list, scope: dict,
         tried.append(b)
         trial = dict(colors)
         trial[b] = fresh
-        cand = _resolve(_refine(trial, binders, comps, scope, depth, gen),
+        cand = _resolve(_refine(trial, signatures), signatures,
                         binders, comps, scope, depth, gen)
         key = _render({b2: ("v", depth, ("c", cand[b2])) for b2 in binders},
                       comps, scope, depth, gen)

@@ -144,7 +144,7 @@ def bounded_finite_net_samples(rng, count: int):
 _NET_LABELS = ["a", "b", "c", "d", "e", "f"]
 
 
-def _random_net(rng, ccs_shape: bool) -> PTNet:
+def random_net(rng, ccs_shape: bool) -> PTNet:
     n_places = rng.randint(1, 6)
     n_trans = rng.randint(1, 6)
     places = list(range(n_places))
@@ -193,7 +193,7 @@ def _random_net(rng, ccs_shape: bool) -> PTNet:
 def random_reduced_nets(rng, count: int, ccs_shape: bool = False):
     out = []
     while len(out) < count:
-        net = _random_net(rng, ccs_shape)
+        net = random_net(rng, ccs_shape)
         if is_reduced(net, Budget(max_states=4000)) == "yes":
             out.append(net)
     return out

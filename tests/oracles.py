@@ -2,8 +2,12 @@
 
 These are deliberately written in a different style from the library code
 (tabulation instead of recursion, greatest-fixpoint shrinking instead of
-partition refinement) so that agreement between the two is meaningful.
+partition refinement, exhaustive search instead of colour refinement) so
+that agreement between the two is meaningful.
 """
+
+from collections import Counter
+from itertools import permutations
 
 from multiccs.terms import TAU_ACT
 
@@ -87,3 +91,25 @@ def _transfers(moves_a, moves_b, rel, flipped):
         else:
             return False
     return True
+
+
+def brute_isomorphic(n1, n2) -> bool:
+    """Net isomorphism by trying every place bijection: one must carry the
+    initial marking and the multiset of transitions of n1 onto n2's.
+
+    Factorial in the place count; only for nets of at most 6 places.
+    """
+    n = len(n1.place_names)
+    if n != len(n2.place_names) or len(n1.transitions) != len(n2.transitions):
+        return False
+    assert n <= 6, "brute_isomorphic is for small nets"
+
+    def shape(net, perm):
+        def moved(m):
+            return frozenset((perm[s], w) for s, w in m.items() if w)
+        return moved(net.initial), Counter(
+            (moved(pre), tuple(str(a) for a in lab), moved(post))
+            for pre, lab, post in net.transitions)
+
+    goal = shape(n2, range(n))
+    return any(shape(n1, perm) == goal for perm in permutations(range(n)))

@@ -139,6 +139,31 @@ class TestNet:
         assert "s1 = up.(down.0 | A)" in out
 
 
+class TestBudgetFlags:
+    @pytest.mark.parametrize("argv", [
+        ("net", "--max-places", "-1"),
+        ("net", "--max-trans", "-5"),
+        ("lts", "--max-states", "-1"),
+        ("lts", "--mode", "general", "--max-seq-len", "0"),
+        ("step", "--max-seq-len", "-2"),
+    ])
+    def test_unmeetable_budget_is_a_usage_error(self, capsys, tmp_path,
+                                                 argv):
+        f = tmp_path / "p.mccs"
+        f.write_text("main = <a>.<b>.c.0 | ~a.0 | ~b.0;\n")
+        assert run(argv[0], f, *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage" in captured.err and argv[-2] in captured.err
+
+    def test_zero_caps_are_budgets_not_usage_errors(self, capsys, tmp_path):
+        f = tmp_path / "p.mccs"
+        f.write_text("main = a.0;\n")
+        assert run("lts", f, "--max-states", "0", "--quiet") == 4
+        assert run("net", f, "--max-trans", "0") == 4
+        assert "truncated" in capsys.readouterr().out
+
+
 class TestTranslateAndRoundtrip:
     def test_translate_prints_the_program(self, capsys):
         assert run("translate", path("weighted.pnet")) == 0

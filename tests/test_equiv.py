@@ -15,8 +15,8 @@ from multiccs.nets import PTNet, build_net, marking_graph
 from multiccs.parser import parse_program
 from multiccs.terms import act_in, act_out, TAU_ACT
 
-from conftest import load_net, load_program
-from oracles import naive_bisimilar
+from conftest import load_net, load_program, random_net
+from oracles import brute_isomorphic, naive_bisimilar
 
 A, B_, TAU = (act_in("a"),), (act_in("b"),), (TAU_ACT,)
 
@@ -253,3 +253,54 @@ def test_oracle_agreement_on_process_pairs():
     for i, l1 in enumerate(systems):
         for l2 in systems[i:]:
             check_verdict(l1, l2)
+
+
+def shuffled_net(rng, net: PTNet) -> PTNet:
+    """net with its places and its transitions listed in a random order."""
+    perm = list(range(len(net.place_names)))
+    rng.shuffle(perm)
+
+    def moved(m):
+        return Counter({perm[s]: w for s, w in m.items()})
+
+    trans = [(moved(pre), lab, moved(post))
+             for pre, lab, post in net.transitions]
+    rng.shuffle(trans)
+    names = [None] * len(perm)
+    for s, name in enumerate(net.place_names):
+        names[perm[s]] = name
+    return PTNet("shuffled", names, moved(net.initial), trans,
+                 ["t%d" % (i + 1) for i in range(len(trans))])
+
+
+def arc_moved(rng, net: PTNet) -> PTNet:
+    """net with one preset arc moved to another place."""
+    trans = [(Counter(pre), lab, Counter(post))
+             for pre, lab, post in net.transitions]
+    pre = rng.choice(trans)[0]
+    s = rng.choice(sorted(pre))
+    w = pre.pop(s)
+    pre[rng.choice([p for p in range(len(net.place_names)) if p != s])] += w
+    return PTNet("moved", list(net.place_names), Counter(net.initial), trans,
+                 list(net.trans_names))
+
+
+def test_isomorphism_agrees_with_brute_force():
+    rng = random.Random(3)
+    still_isomorphic = 0
+    for _ in range(300):
+        net = random_net(rng, ccs_shape=rng.random() < 0.5)
+        same = shuffled_net(rng, net)
+        iso = isomorphic(net, same)
+        assert iso.found and verify_isomorphism(net, same, iso.place_map)
+        assert brute_isomorphic(net, same)
+        if len(net.place_names) < 2:
+            continue
+        other = shuffled_net(rng, arc_moved(rng, net))
+        iso = isomorphic(net, other)
+        assert iso.found == brute_isomorphic(net, other)
+        if iso.found:
+            assert verify_isomorphism(net, other, iso.place_map)
+            still_isomorphic += 1
+    # the mutation must leave both answers represented
+    assert 0 < still_isomorphic < 250

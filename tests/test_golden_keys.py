@@ -5,9 +5,11 @@ and any change to how it searches (pruning, ordering, memoization) must
 still pick the same canonical names.  This compares lax and strict
 `normalize(...).key()` of a seeded family of regions against
 `golden_keys.json` exactly: directed and undirected cycles, cliques, two
-triangles against a hexagon, random binder graphs and binder graphs
+triangles against a hexagon, random binder graphs, binder graphs
 nested under a prefix (`x.(new(q)(...))`), with at most 6 bound names in
-use per region.
+use per region, and terms that nest regions two or three prefixes deep
+(sums, strong prefixes, constants renamed to bound names, shadowed and
+unused binders), which pin the numbering of the inner bound names.
 Regenerate it (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden_keys.py --write
@@ -30,6 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden_keys.json"
 def env() -> Env:
     e = Env()
     e.define("K", parse_term("a.K"))
+    e.define("L", parse_term("b.~a.L"))
     return e
 
 
@@ -86,6 +89,42 @@ def nested_region(rng, k: int) -> str:
                                  "x.(%s)" % inner])
 
 
+def deep_region(rng, depth: int, scope: list) -> str:
+    """A region whose first component nests another region `depth`
+    prefixes deep; binders may shadow outer ones, "w" is never used."""
+    binders = rng.sample(["a", "b", "u", "v"], rng.randint(1, 3))
+    inner = scope + binders
+    comps = [deep_prefix(rng, depth, inner, nest=True)]
+    for _ in range(rng.randint(0, 2)):
+        comps.append(deep_component(rng, rng.randint(0, depth), inner))
+    if rng.random() < 0.2:
+        binders.append("w")
+    if rng.random() < 0.2:
+        comps.append("0")
+    rng.shuffle(comps)
+    return region(binders, comps)
+
+
+def deep_component(rng, depth: int, scope: list) -> str:
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice(["K", "L"])
+    if r < 0.45:
+        return "%s + %s" % (deep_prefix(rng, depth, scope),
+                            deep_prefix(rng, depth, scope))
+    return deep_prefix(rng, depth, scope)
+
+
+def deep_prefix(rng, depth: int, scope: list, nest: bool = False) -> str:
+    form = rng.choice(["%s", "~%s", "<%s>", "<~%s>"])
+    act = form % rng.choice(scope + ["x"])
+    if depth > 0 and (nest or rng.random() < 0.5):
+        body = "(%s)" % deep_region(rng, depth - 1, scope)
+    else:
+        body = rng.choice(["0", "%s.0" % rng.choice(scope), "K", "L"])
+    return "%s.%s" % (act, body)
+
+
 def cases() -> dict:
     out = {}
     for kind in LINK_KINDS:
@@ -104,6 +143,9 @@ def cases() -> dict:
         out["random%02d" % i] = random_region(rng, rng.randint(2, 6))
     for i in range(20):
         out["nested%02d" % i] = nested_region(rng, rng.randint(2, 4))
+    deep = random.Random(1011)
+    for i in range(40):
+        out["deep%02d" % i] = deep_region(deep, 2 + i % 2, [])
     return out
 
 
