@@ -77,7 +77,7 @@ def _coacts(label) -> frozenset:
 
 
 def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
-            cap: int) -> tuple:
+            cap: int, seeds: list | None = None) -> tuple:
     """The pairwise synchronization closure over the multiset `bound`.
 
     base(component) gives the (label, produced) moves of one component,
@@ -88,12 +88,33 @@ def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
     Restriction is not applied here.  `truncated` is set when a
     general-mode synchronization longer than max_seq_len was dropped, or
     when the closure reached `cap` items and stopped.
+
+    With `seeds`, a list of multisets whose join is `bound`, two items
+    merge only if the merged preset lies below some seed -- not merely
+    below `bound`, which would pair components no seed holds together --
+    and every item gets a fourth field, the seeds it lies below as a
+    bitmask (bit i for seeds[i]).  A merge below a seed has both halves
+    below it, so the items below seeds[i] are, in order, exactly the
+    closure over seeds[i] alone, and `truncated` is the OR of the
+    per-seed flags.  `cap` bounds the one shared closure, so it can stop
+    a closure over seeds none of which would reach it alone.
     """
     items: dict = {}
     queue = deque()
     truncated = False
+    covers: dict = {}
 
-    def add(used, label, produced) -> bool:
+    def cover(s, n) -> int:
+        """The seeds that hold n copies of s, as a bitmask."""
+        if seeds is None:
+            return 1 if bound[s] >= n else 0
+        hit = covers.get((s, n))
+        if hit is None:
+            hit = covers[s, n] = sum(1 << i for i, m in enumerate(seeds)
+                                     if m.get(s, 0) >= n)
+        return hit
+
+    def add(used, label, produced, below) -> bool:
         """Record an item; False, with the queue cleared, at the cap."""
         key = (freeze(used), label, freeze(produced))
         if key in items:
@@ -101,31 +122,45 @@ def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
         if len(items) >= cap:
             queue.clear()
             return False
-        items[key] = (used, label, produced, _acts(label), _coacts(label))
+        items[key] = (used, label, produced, _acts(label), _coacts(label),
+                      below)
         queue.append(key)
         return True
 
+    def result() -> list:
+        if seeds is None:
+            return [item[:3] for item in items.values()]
+        return [item[:3] + item[5:] for item in items.values()]
+
     for c in sorted(bound, key=term_key):
         for label, produced in base(c):
-            if not add(Counter({c: 1}), label, produced):
+            if not add(Counter({c: 1}), label, produced, cover(c, 1)):
                 truncated = True
 
     while queue:
-        used1, lab1, prod1, _, co1 = items[queue.popleft()]
-        for used2, lab2, prod2, acts2, _ in list(items.values()):
+        used1, lab1, prod1, _, co1, below1 = items[queue.popleft()]
+        for used2, lab2, prod2, acts2, _, below2 in list(items.values()):
             if not co1 & acts2:
                 # every synchronization cancels at least one
                 # complementary pair of actions
                 continue
-            merged = used1 + used2
-            if any(merged[s] > bound[s] for s in merged):
+            # each half lies below the seeds in its mask; only the
+            # components both halves use can overflow a seed
+            below = below1 & below2
+            for s in used1:
+                if not below:
+                    break
+                if s in used2:
+                    below &= cover(s, used1[s] + used2[s])
+            if not below:
                 continue
+            merged = used1 + used2
             for lab3 in sorted(sync_outcomes(lab1, lab2, mode), key=label_key):
                 if mode is SyncMode.GENERAL and len(lab3) > max_seq_len:
                     truncated = True
-                elif not add(merged, lab3, prod1 + prod2):
-                    return [item[:3] for item in items.values()], True
-    return [item[:3] for item in items.values()], truncated
+                elif not add(merged, lab3, prod1 + prod2, below):
+                    return result(), True
+    return result(), truncated
 
 
 @dataclass

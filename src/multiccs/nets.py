@@ -10,19 +10,30 @@ binders during decomposition) take the place of bound names: moves
 labeled with restricted actions may take part in synchronizations but
 never surface as net transitions.
 
-Coverability is computed with a Karp-Miller tree over the transitions
-discovered so far, so transitions are admitted exactly when their preset
-is covered by some reachable marking, which keeps the net reduced and also
-handles unbounded nets such as the semi-counter.  The marking graph and
-the reducedness and safety checks run on `lts.explore`, the breadth-first
-search of the transition-system semantics, with markings keyed by
-`marking_key`.
+Each round of the fixpoint computes the maximal coverable markings with a
+Karp-Miller tree over the transitions discovered so far, so transitions
+are admitted exactly when their preset is covered by some reachable
+marking, which keeps the net reduced and also handles unbounded nets such
+as the semi-counter.  The round then runs one closure over all of these
+markings (the seeds): two items merge only if the merged preset lies below
+some seed, never merely below the join of the seeds, which would pair
+places that are never marked together.  The items below a seed are exactly
+the closure over that seed alone, in the same order, so the round emits,
+seed by seed in marking order, what one closure per seed would: places
+are numbered and restricted names allocated as in that reading.  The item
+cap (`NetBuilder.item_cap`) bounds the one closure of a round, so a round
+may trip it where no single seed would.
+
+The marking graph and the reducedness and safety checks run on
+`lts.explore`, the breadth-first search of the transition-system
+semantics, with markings keyed by `marking_key`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import le
 
 from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore, freeze
 from .parser import _Tokens
@@ -30,7 +41,7 @@ from .sync import SyncMode
 from .terms import (
     Action, Const, Env, GuardednessError, MccsError, Nil, Par, Prefix,
     Program, Restrict, StrongPrefix, Sum, Term, act_in, act_out,
-    format_term, label_key, substitute, term_key, TAU_ACT,
+    format_term, label_key, subst_map, term_key, TAU_ACT,
 )
 
 OMEGA = float("inf")
@@ -55,6 +66,32 @@ def fire(m: Counter, pre: Counter, post: Counter) -> Counter:
         if n:
             out[s] = n
     return out
+
+
+def antichain(vectors) -> list:
+    """The maximal ones among equal-length (omega-)vectors.
+
+    Vectors are taken most omegas first, then largest finite sum first, so
+    a vector can only be covered by one taken before it.  A vector is
+    kept unless some kept vector covers it, found through per-place
+    bitmasks of the kept vectors holding each value there."""
+    ranked = sorted(vectors, key=lambda v: (
+        -sum(1 for x in v if x == OMEGA), -sum(x for x in v if x != OMEGA)))
+    keep: list = []
+    held: list = [{} for _ in ranked[0]] if ranked else []
+    for v in ranked:
+        above = (1 << len(keep)) - 1
+        for i, x in enumerate(v):
+            if x and above:
+                above &= sum(mask for y, mask in held[i].items() if y >= x)
+        if above:
+            continue
+        bit = 1 << len(keep)
+        for i, x in enumerate(v):
+            if x:
+                held[i][x] = held[i].get(x, 0) | bit
+        keep.append(v)
+    return keep
 
 
 def format_marking(m: Counter, names=None) -> str:
@@ -119,8 +156,13 @@ def dec(t: Term, env: Env, alloc: FreshAllocator | None = None,
         out.update(dec(t.right, env, alloc, busy))
         return out
     if isinstance(t, Restrict):
-        fresh = alloc.fresh(t.name)
-        return dec(substitute(t.body, t.name, fresh, env), env, alloc, busy)
+        # open a run of directly nested binders in one substitution pass; a
+        # repeated name shadows the outer binder and ends the run
+        fresh: dict = {}
+        while isinstance(t, Restrict) and t.name not in fresh:
+            fresh[t.name] = alloc.fresh(t.name)
+            t = t.body
+        return dec(subst_map(t, fresh, env), env, alloc, busy)
     if isinstance(t, Const):
         if t in busy:
             raise GuardednessError("unguarded constant %s in decomposition" % t.display_name())
@@ -189,18 +231,40 @@ class NetBuilder:
 
     # -- transitions derivable inside a marking ------------------------------
 
-    def derive_items(self, seed: Counter) -> list:
-        """All (used, label, produced) with used below the seed, including
-        intermediate items whose label mentions restricted actions."""
-        frozen_seed = freeze(seed)
-        hit = self._derived.get(frozen_seed)
+    def derive_items(self, join: Counter, seeds: list | None = None) -> list:
+        """All (used, label, produced) with used below `join`, including
+        intermediate items whose label mentions restricted actions.
+
+        With `seeds`, whose join `join` is, the closure of one fixpoint
+        round: only the items below some seed, each with the bitmask of the
+        seeds it lies below as a fourth field (see `lts.closure`)."""
+        key = (freeze(join),
+               None if seeds is None else tuple(map(freeze, seeds)))
+        hit = self._derived.get(key)
         if hit is None:
-            hit = self._derived[frozen_seed] = closure(
-                seed, self.place_moves, self.mode, self.budget.max_seq_len,
-                self.item_cap)
+            # place moves allocate restricted names: meet the places seed
+            # by seed, as a closure per seed would, not in `join` order
+            for seed in seeds or ():
+                for p in sorted(seed, key=term_key):
+                    self.place_moves(p)
+            hit = self._derived[key] = closure(
+                join, self.place_moves, self.mode, self.budget.max_seq_len,
+                self.item_cap, seeds)
         items, truncated = hit
         self.truncated_items = self.truncated_items or truncated
         return items
+
+    def _round_items(self, seeds: list) -> list:
+        """The visible items of one fixpoint round: for each seed in turn,
+        the items below it in closure order, each at its first seed only."""
+        join = Counter()
+        for seed in seeds:
+            join |= seed
+        visible = [item for item in self.derive_items(join, seeds)
+                   if _label_visible(item[1])]
+        # the lowest bit of an item's mask is the first seed it lies below
+        visible.sort(key=lambda item: (item[3] & -item[3]).bit_length())
+        return [item[:3] for item in visible]
 
     # -- the fixpoint --------------------------------------------------------
 
@@ -230,22 +294,18 @@ class NetBuilder:
             complete = complete and km_complete
             grew = False
             known_places = len(order)
-            for seed in markings:
-                for used, label, produced in self.derive_items(seed):
-                    if not _label_visible(label):
-                        continue
-                    key = (freeze(used), label, freeze(produced))
-                    if key in transitions:
-                        continue
-                    if len(transitions) >= self.budget.max_transitions:
-                        complete = False
-                        continue
-                    ok = all(register(p) for p in list(used) + list(produced))
-                    if not ok:
-                        complete = False
-                        continue
-                    transitions[key] = (used, label, produced)
-                    grew = True
+            for used, label, produced in self._round_items(markings):
+                key = (freeze(used), label, freeze(produced))
+                if key in transitions:
+                    continue
+                if len(transitions) >= self.budget.max_transitions:
+                    complete = False
+                    continue
+                if not all(register(p) for p in list(used) + list(produced)):
+                    complete = False
+                    continue
+                transitions[key] = (used, label, produced)
+                grew = True
             complete = complete and not self.truncated_items
             if not grew or not complete:
                 break
@@ -298,17 +358,15 @@ class NetBuilder:
                 v[ids[s]] = c
             return tuple(v)
 
+        # fire through sparse presets and effects: a transition touches
+        # few of the places
+        rules = []
+        for pre, _, post in tlist:
+            delta = Counter({ids[s]: c for s, c in post.items()})
+            delta.subtract({ids[s]: c for s, c in pre.items()})
+            rules.append((tuple(sorted((ids[s], c) for s, c in pre.items())),
+                          tuple(sorted((i, d) for i, d in delta.items() if d))))
         vm0 = vec(m0)
-        vtlist = [(vec(pre), vec(post)) for pre, _, post in tlist]
-
-        def antichain(markings) -> list:
-            keep: list = []
-            for m in markings:
-                if any(all(x <= y for x, y in zip(m, o)) for o in keep):
-                    continue
-                keep = [o for o in keep
-                        if not all(x <= y for x, y in zip(o, m))] + [m]
-            return keep
 
         def counters(maximal) -> list:
             rev = {i: s for s, i in ids.items()}
@@ -325,41 +383,48 @@ class NetBuilder:
         # independent firings blow the tree up exponentially.  On bounded
         # nets no acceleration can fire, so this degenerates to an exact
         # reachability search.
+        # A node is (marking, support, parent): the support bitmask of the
+        # marked places rules out most ancestors without a full comparison.
         complete = True
         seen = {vm0}
         order = [vm0]
-        stack = [(vm0, None)]
+        stack = [(vm0, sum(1 << i for i, x in enumerate(vm0) if x), None)]
         while stack:
             if len(seen) > self.budget.max_states:
                 complete = False
                 break
-            marking, parent = stack.pop()
-            for pre, post in vtlist:
-                if any(p > m for p, m in zip(pre, marking)):
+            node = stack.pop()
+            marking, marked, _ = node
+            for pre, delta in rules:
+                if any(marking[i] < c for i, c in pre):
                     continue
-                nxt = [m - p + q for m, p, q in zip(marking, pre, post)]
+                nxt = list(marking)
+                nmarked = marked
+                for i, d in delta:
+                    nxt[i] += d
+                    if nxt[i]:
+                        nmarked |= 1 << i
+                    else:
+                        nmarked &= ~(1 << i)
                 # accelerate to a fixpoint against every ancestor
                 changed = True
                 while changed:
                     changed = False
-                    anc = (marking, parent)
+                    anc = node
                     while anc is not None:
                         a = anc[0]
-                        for i in range(n):
-                            if a[i] > nxt[i]:
-                                break
-                        else:
+                        if not anc[1] & ~nmarked and all(map(le, a, nxt)):
                             for i in range(n):
                                 if nxt[i] > a[i] and nxt[i] != OMEGA:
                                     nxt[i] = OMEGA
                                     changed = True
-                        anc = anc[1]
+                        anc = anc[2]
                 nxt = tuple(nxt)
                 if nxt in seen:
                     continue
                 seen.add(nxt)
                 order.append(nxt)
-                stack.append((nxt, (marking, parent)))
+                stack.append((nxt, nmarked, node))
         return counters(antichain(order)), complete
 
     def _backward_closure(self, m0: Counter, transitions: dict, register,

@@ -190,6 +190,24 @@ def random_net(rng, ccs_shape: bool) -> PTNet:
                  ["t%d" % (i + 1) for i in range(len(transitions))])
 
 
+def philosophers_ring(n: int) -> PTNet:
+    """A ring of n dining philosophers: places t_i (thinking), e_i (eating)
+    and f_i (forks), a take and a put transition per philosopher."""
+    names = (["t%d" % i for i in range(n)] + ["e%d" % i for i in range(n)]
+             + ["f%d" % i for i in range(n)])
+    transitions = []
+    for i in range(n):
+        forks = Counter({2 * n + i: 1, 2 * n + (i + 1) % n: 1})
+        transitions.append((forks + Counter({i: 1}), (act_in("take%d" % i),),
+                            Counter({n + i: 1})))
+        transitions.append((Counter({n + i: 1}), (act_in("put%d" % i),),
+                            forks + Counter({i: 1})))
+    initial = Counter({i: 1 for i in range(n)})
+    initial.update({2 * n + i: 1 for i in range(n)})
+    return PTNet("ring%d" % n, names, initial, transitions,
+                 ["t%d" % (i + 1) for i in range(2 * n)])
+
+
 def random_reduced_nets(rng, count: int, ccs_shape: bool = False):
     out = []
     while len(out) < count:

@@ -9,7 +9,10 @@ that agreement between the two is meaningful.
 from collections import Counter
 from itertools import permutations
 
-from multiccs.terms import TAU_ACT
+from multiccs.lts import DEFAULT_BUDGET
+from multiccs.nets import OMEGA, NetBuilder, marking_key
+from multiccs.sync import SyncMode
+from multiccs.terms import TAU_ACT, classify_finite_net, label_key, term_key
 
 
 def oracle_sync(s1, s2):
@@ -113,3 +116,90 @@ def brute_isomorphic(n1, n2) -> bool:
 
     goal = shape(n2, range(n))
     return any(shape(n1, perm) == goal for perm in permutations(range(n)))
+
+
+def brute_antichain(vectors) -> set:
+    """The maximal vectors, each checked against every other one."""
+    vs = set(vectors)
+    return {v for v in vs
+            if not any(o != v and all(x <= y for x, y in zip(v, o))
+                       for o in vs)}
+
+
+class PerSeedNetBuilder(NetBuilder):
+    """The net fixpoint with one closure per maximal marking (the shared
+    round closure must emit exactly what these per-seed closures emit),
+    over a dense Karp-Miller tree whose maximal markings come from a
+    pairwise scan."""
+
+    def _round_items(self, seeds):
+        out = []
+        for seed in seeds:
+            for used, label, produced in self.derive_items(seed):
+                if not any(a.is_restricted for a in label):
+                    out.append((used, label, produced))
+        return out
+
+    def _coverability(self, m0, transitions):
+        tlist = sorted(transitions,
+                       key=lambda t: (marking_key(t[0], term_key),
+                                      label_key(t[1])))
+        ids = {}
+        for m in [m0] + [x for pre, _, post in tlist for x in (pre, post)]:
+            for s in sorted(m, key=term_key):
+                ids.setdefault(s, len(ids))
+        n = len(ids)
+
+        def vec(m):
+            v = [0] * n
+            for s, c in m.items():
+                v[ids[s]] = c
+            return tuple(v)
+
+        vm0 = vec(m0)
+        vtlist = [(vec(pre), vec(post)) for pre, _, post in tlist]
+        complete = True
+        seen = {vm0}
+        order = [vm0]
+        stack = [(vm0, None)]
+        while stack:
+            if len(seen) > self.budget.max_states:
+                complete = False
+                break
+            marking, parent = stack.pop()
+            for pre, post in vtlist:
+                if any(p > m for p, m in zip(pre, marking)):
+                    continue
+                nxt = [m - p + q for m, p, q in zip(marking, pre, post)]
+                changed = True
+                while changed:
+                    changed = False
+                    anc = (marking, parent)
+                    while anc is not None:
+                        a = anc[0]
+                        if all(x <= y for x, y in zip(a, nxt)):
+                            for i in range(n):
+                                if nxt[i] > a[i] and nxt[i] != OMEGA:
+                                    nxt[i] = OMEGA
+                                    changed = True
+                        anc = anc[1]
+                nxt = tuple(nxt)
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                order.append(nxt)
+                stack.append((nxt, (marking, parent)))
+        rev = {i: s for s, i in ids.items()}
+        out = [Counter({rev[i]: c for i, c in enumerate(m) if c})
+               for m in brute_antichain(order)]
+        out.sort(key=lambda m: marking_key(m, term_key))
+        return out, complete
+
+
+def per_seed_build_net(program, mode=None, budget=DEFAULT_BUDGET):
+    """`build_net` through `PerSeedNetBuilder`."""
+    if mode is None:
+        mode = (SyncMode.FINITE_NET if classify_finite_net(program)[0]
+                else SyncMode.GENERAL)
+    builder = PerSeedNetBuilder(program.env, mode, budget)
+    return builder.build(program.main, program.name)

@@ -1,0 +1,162 @@
+"""One synchronization closure per fixpoint round of the net construction.
+
+`lts.closure` with seeds bounds each merge by some seed; the items below a
+seed must be exactly the closure over that seed alone, so that the round
+closure of `NetBuilder.build` emits what one closure per maximal marking
+would.  `oracles.per_seed_build_net` is that per-seed loop, over a dense
+Karp-Miller tree with a pairwise antichain.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+import multiccs.nets
+from multiccs.lts import Budget, closure
+from multiccs.net2term import translate
+from multiccs.nets import OMEGA, NetBuilder, antichain, build_net, format_pnet
+from multiccs.parser import parse_program
+from multiccs.sync import SyncMode
+from multiccs.terms import check_wellformed, format_term
+
+from conftest import (
+    CORPUS, load_program, philosophers_ring, random_finite_net_program,
+    random_reduced_nets,
+)
+from oracles import brute_antichain, per_seed_build_net
+
+BUDGET = Budget(max_states=40, max_places=60, max_transitions=120)
+
+
+def seeded_programs(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        prog = random_finite_net_program(rng)
+        if check_wellformed(prog).ok:
+            out.append(prog)
+    return out
+
+
+def random_seeds(rng, pool: list) -> list:
+    """A few small sub-multisets of the pool.  Omega counts are left to the
+    differential tests below: on most places they let the closure pump
+    without end."""
+    return [Counter({p: rng.randint(1, 3) for p in
+                     rng.sample(pool, rng.randint(1, min(4, len(pool))))})
+            for _ in range(rng.randint(1, 5))]
+
+
+def check_seed_bound(builder: NetBuilder, pool: list, rng, max_seq_len: int):
+    seeds = random_seeds(rng, pool)
+    join = Counter()
+    for seed in seeds:
+        join |= seed
+    shared, truncated = closure(join, builder.place_moves, builder.mode,
+                                max_seq_len, 10 ** 6, seeds)
+    flags = []
+    for i, seed in enumerate(seeds):
+        alone, flag = closure(seed, builder.place_moves, builder.mode,
+                              max_seq_len, 10 ** 6)
+        below = [item[:3] for item in shared if item[3] >> i & 1]
+        assert below == alone
+        flags.append(flag)
+    assert truncated == any(flags)
+
+
+@pytest.mark.parametrize("mode, max_seq_len", [(SyncMode.FINITE_NET, 16),
+                                               (SyncMode.GENERAL, 16),
+                                               (SyncMode.GENERAL, 2)])
+def test_items_below_a_seed_are_its_own_closure(mode, max_seq_len):
+    rng = random.Random(1011)
+    programs = seeded_programs(64, 25)
+    programs += [translate(net) for net in random_reduced_nets(rng, 10)]
+    for prog in programs:
+        builder = NetBuilder(prog.env, mode, BUDGET)
+        net = builder.build(prog.main)
+        for _ in range(4):
+            check_seed_bound(builder, net.place_terms, rng, max_seq_len)
+
+
+def test_a_short_max_seq_len_flags_the_round_closure():
+    # <a>.b.0 and <c>.~a.0 synchronize to c.b, longer than 1: a seed
+    # holding both flags the shared closure, a seed holding one does not
+    prog = parse_program("main = <a>.b.0 | <c>.~a.0 | d.0;")
+    builder = NetBuilder(prog.env, SyncMode.GENERAL)
+    left, right, alone = sorted(builder.build(prog.main).place_terms[:3],
+                                key=format_term)
+    apart = [Counter({left: 1, alone: 1}), Counter({right: 1, alone: 1})]
+    together = apart + [Counter({left: 1, right: 1})]
+    for seeds, flag in ((apart, False), (together, True)):
+        join = Counter()
+        for seed in seeds:
+            join |= seed
+        _, truncated = closure(join, builder.place_moves, builder.mode, 1,
+                               10 ** 6, seeds)
+        assert truncated is flag
+
+
+def net_record(net) -> tuple:
+    return (format_pnet(net), net.complete,
+            [format_term(t) for t in net.place_terms])
+
+
+def differential_cases() -> list:
+    cases = [("seeded%d" % k, prog)
+             for k, prog in enumerate(seeded_programs(1011, 60))]
+    cases += [(p.stem, load_program(p.name))
+              for p in sorted(CORPUS.glob("*.mccs"))]
+    # the restricted names of places first met in different seeds are
+    # numbered seed by seed
+    cases.append(("two_scopes", parse_program(
+        "main = a.x.(new(r)(r.c.0 | ~r.0)) | b.y.(new(q)(q.d.0 | ~q.0));")))
+    return [(name, prog) for name, prog in cases if check_wellformed(prog).ok]
+
+
+@pytest.mark.parametrize("mode", [None, SyncMode.GENERAL],
+                         ids=["auto", "general"])
+def test_round_closure_matches_per_seed_closures(mode):
+    for name, prog in differential_cases():
+        got = build_net(prog, mode, BUDGET)
+        want = per_seed_build_net(prog, mode, BUDGET)
+        assert net_record(got) == net_record(want), name
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_translated_ring_matches_per_seed_closures(n):
+    prog = translate(philosophers_ring(n))
+    got = build_net(prog, SyncMode.FINITE_NET)
+    assert got.complete and len(got.transitions) == 2 * n
+    assert net_record(got) == net_record(
+        per_seed_build_net(prog, SyncMode.FINITE_NET))
+
+
+def test_translated_ring_derives_few_closure_items(monkeypatch):
+    # one closure per round, not one per maximal marking: a translated
+    # ring of 8 has 47 maximal markings in its last round
+    prog = translate(philosophers_ring(8))
+    items = []
+    real = multiccs.nets.closure
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        items.extend(result[0])
+        return result
+
+    monkeypatch.setattr(multiccs.nets, "closure", counting)
+    net = build_net(prog, SyncMode.FINITE_NET)
+    assert net.complete and len(net.transitions) == 16
+    assert 0 < len(items) <= 200
+
+
+def test_antichain_keeps_exactly_the_maximal_vectors():
+    rng = random.Random(6433)
+    for _ in range(300):
+        width = rng.randint(1, 5)
+        vectors = [tuple(OMEGA if rng.random() < 0.15 else rng.randint(0, 3)
+                         for _ in range(width))
+                   for _ in range(rng.randint(0, 30))]
+        kept = antichain(vectors)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == brute_antichain(vectors)

@@ -15,7 +15,8 @@ from multiccs.nets import (
 from multiccs.parser import ParseError, parse_program, parse_term
 from multiccs.sync import SyncMode, sync_outcomes
 from multiccs.terms import (
-    GuardednessError, act_in, act_out, classify_finite_net, format_sequence,
+    GuardednessError, Par, Restrict, act_in, act_out, classify_finite_net,
+    format_sequence, substitute,
 )
 
 from conftest import load_net, load_program
@@ -52,6 +53,28 @@ class TestDecomposition:
     def test_nested_restrictions_get_distinct_names(self):
         m = self.dec_of("new(a)(a.0 | (new(a) a.0))")
         assert {p.action.name for p in m} == {"a#1", "a#2"}
+
+    @pytest.mark.parametrize("text", [
+        "new(a, b)(a.~b.0 | b.K)",
+        "new(a, b, a)(a.b.0 | ~a.c.K)",
+        "new(a)((new(a) a.0) | (new(c) new(a) c.a.0))",
+    ])
+    def test_a_run_of_binders_opens_as_one_binder_at_a_time(self, text):
+        # reference: one substitution pass per binder, outermost first
+        prog = parse_program("K = a.K + b.0; main = %s;" % text)
+        alloc = FreshAllocator()
+
+        def one_at_a_time(t):
+            if isinstance(t, Restrict):
+                fresh = alloc.fresh(t.name)
+                return one_at_a_time(substitute(t.body, t.name, fresh,
+                                                prog.env))
+            if isinstance(t, Par):
+                return one_at_a_time(t.left) + one_at_a_time(t.right)
+            return Counter({t: 1})
+
+        assert dec(prog.main, prog.env, FreshAllocator()) \
+            == one_at_a_time(prog.main)
 
     def test_constant_unfolds_through_parallel(self):
         m = self.dec_of("K", defs="K = a.0 | b.K; ")
