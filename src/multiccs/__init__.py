@@ -15,7 +15,7 @@ from .normalform import NormalForm, normalize
 from .lts import Budget, DEFAULT_BUDGET, Lts, StepEngine, step, build_lts, format_label
 from .nets import (
     PTNet, dec, build_net, NetBuilder, marking_graph, parse_pnet, format_pnet,
-    format_marking, marking_key, marking_leq, fire, is_reduced, is_safe, OMEGA,
+    format_marking, marking_key, is_reduced, is_safe, OMEGA,
 )
 from .net2term import TranslationError, translate, is_ccs_net
 from .equiv import (
@@ -40,7 +40,7 @@ __all__ = [
     "format_label",
     "PTNet", "dec", "build_net", "NetBuilder", "marking_graph",
     "parse_pnet", "format_pnet", "format_marking", "marking_key",
-    "marking_leq", "fire", "is_reduced", "is_safe", "OMEGA",
+    "is_reduced", "is_safe", "OMEGA",
     "TranslationError", "translate", "is_ccs_net",
     "IncompleteLtsError", "bisimilar", "net_bisimilar", "BisimResult",
     "formula_holds", "render_formula", "is_bisimulation_partition",

@@ -12,9 +12,9 @@ from .equiv import (IncompleteLtsError, bisimilar, isomorphic, net_bisimilar)
 from .lts import DEFAULT_BUDGET, Budget, build_lts, format_label
 from .nets import (build_net, format_marking, format_pnet, is_reduced,
                    is_safe, marking_graph, parse_pnet)
-from .net2term import TranslationError, is_ccs_net, translate
+from .net2term import is_ccs_net, translate
 from .parser import ParseError, format_program, parse_program
-from .sync import SyncMode, sync_outcomes
+from .sync import SyncMode, auto_mode, sync_outcomes
 from .terms import (MccsError, act_in, act_out, TAU_ACT, check_wellformed,
                     classify_finite_net, format_sequence, format_term,
                     label_key)
@@ -60,12 +60,7 @@ def _budget(args) -> Budget:
 
 
 def _mode(args, program) -> SyncMode:
-    if args.mode == "general":
-        return SyncMode.GENERAL
-    if args.mode == "finite-net":
-        return SyncMode.FINITE_NET
-    flag, _ = classify_finite_net(program)
-    return SyncMode.FINITE_NET if flag else SyncMode.GENERAL
+    return auto_mode(program) if args.mode == "auto" else SyncMode(args.mode)
 
 
 def _at_least(low: int):
@@ -211,11 +206,7 @@ def cmd_bisim(args) -> int:
         program2 = _load_program(args.other)
         lts2 = build_lts(program2, _mode(args, program2), budget, args.strict)
         other = args.other
-    try:
-        res = bisimilar(lts1, lts2)
-    except IncompleteLtsError as e:
-        print(str(e), file=sys.stderr)
-        return EBUDGET
+    res = bisimilar(lts1, lts2)
     print("comparing %s with %s" % (args.file, other))
     print("bisimilar: %s" % ("yes" if res.equivalent else "no"))
     if not res.equivalent:
@@ -238,11 +229,7 @@ def cmd_iso(args) -> int:
 
 def cmd_netbisim(args) -> int:
     n1, n2 = _load_net(args.file), _load_net(args.other)
-    try:
-        res = net_bisimilar(n1, n2, _budget(args))
-    except IncompleteLtsError as e:
-        print(str(e), file=sys.stderr)
-        return EBUDGET
+    res = net_bisimilar(n1, n2, _budget(args))
     print("marking graphs bisimilar: %s" % ("yes" if res.equivalent else "no"))
     if not res.equivalent:
         print("distinguishing formula: %s" % res.counterexample())
@@ -265,7 +252,7 @@ def _parse_seq(text: str):
 
 
 def cmd_sync(args) -> int:
-    mode = SyncMode.FINITE_NET if args.mode == "finite-net" else SyncMode.GENERAL
+    mode = SyncMode(args.mode)
     s1, s2 = _parse_seq(args.left), _parse_seq(args.right)
     outcomes = sync_outcomes(s1, s2, mode)
     if not outcomes:
@@ -433,9 +420,6 @@ def main(argv=None) -> int:
     except IncompleteLtsError as e:
         print(str(e), file=sys.stderr)
         return EBUDGET
-    except TranslationError as e:
-        print(str(e), file=sys.stderr)
-        return EILL
     except MccsError as e:
         print(str(e), file=sys.stderr)
         return EILL

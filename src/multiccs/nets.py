@@ -24,20 +24,24 @@ are numbered and restricted names allocated as in that reading.  The item
 cap (`NetBuilder.item_cap`) bounds the one closure of a round, so a round
 may trip it where no single seed would.
 
-The marking graph and the reducedness and safety checks run on
-`lts.explore`, the breadth-first search of the transition-system
-semantics, with markings keyed by `marking_key`.
+Places are numbered once, when the construction first meets them, and
+each transition is compiled once, when it is admitted, into a
+`firing_rule` over those numbers.  Every search of the token game fires
+such rules over tuples of token counts: the Karp-Miller tree of each
+round, and the marking graph and the reducedness and safety checks,
+which run on `lts.explore`, the search of the transition-system
+semantics.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import le
+from operator import itemgetter, le
 
 from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore, freeze
 from .parser import _Tokens
-from .sync import SyncMode
+from .sync import SyncMode, auto_mode
 from .terms import (
     Action, Const, Env, GuardednessError, MccsError, Nil, Par, Prefix,
     Program, Restrict, StrongPrefix, Sum, Term, act_in, act_out,
@@ -55,17 +59,21 @@ def marking_key(m: Counter, keyfn=None):
     return tuple(sorted(((keyfn(s), n) for s, n in m.items() if n), key=lambda kv: kv[0]))
 
 
-def marking_leq(a: Counter, b: Counter) -> bool:
-    return all(b[s] >= n for s, n in a.items())
+def firing_rule(pre: Counter, post: Counter) -> tuple:
+    """A transition over place ids as one sparse firing rule: its preset
+    and its non-zero effect, each as sorted (place, count) pairs."""
+    effect = Counter(post)
+    effect.subtract(pre)
+    return (tuple(sorted(pre.items())),
+            tuple(sorted((i, d) for i, d in effect.items() if d)))
 
 
-def fire(m: Counter, pre: Counter, post: Counter) -> Counter:
-    out = Counter()
-    for s in set(m) | set(post):
-        n = m.get(s, 0) - pre.get(s, 0) + post.get(s, 0)
-        if n:
-            out[s] = n
-    return out
+def _enabled(pre, m) -> bool:
+    # a loop, not all(): this is the innermost test of every marking search
+    for i, c in pre:
+        if m[i] < c:
+            return False
+    return True
 
 
 def antichain(vectors) -> list:
@@ -282,6 +290,18 @@ class NetBuilder:
             order.append(p)
             return True
 
+        def admit(table: dict, key, used, label, produced) -> bool:
+            """Register a transition's places and store it in table over
+            place ids, as (Karp-Miller sort key, firing rule, (pre, label,
+            post)); False if a place does not fit."""
+            if not all(register(p) for p in list(used) + list(produced)):
+                return False
+            pre = Counter({place_index[s]: n for s, n in used.items()})
+            post = Counter({place_index[s]: n for s, n in produced.items()})
+            table[key] = ((marking_key(used, term_key), label_key(label)),
+                          firing_rule(pre, post), (pre, label, post))
+            return True
+
         # register every initial place that fits; if one does not, the net
         # is truncated to those places with nothing explored
         fits = all([register(p) for p in m0])
@@ -290,21 +310,26 @@ class NetBuilder:
         self.truncated_items = False
 
         while fits:
-            markings, km_complete = self._coverability(m0, transitions.values())
+            ranked = sorted(transitions.values(), key=itemgetter(0))
+            maximal, km_complete = self._coverability(
+                tuple(m0[p] for p in order), [rule for _, rule, _ in ranked])
             complete = complete and km_complete
+            seeds = sorted(
+                (Counter({order[i]: c for i, c in enumerate(v) if c})
+                 for v in maximal),
+                key=lambda m: marking_key(m, term_key))
             grew = False
             known_places = len(order)
-            for used, label, produced in self._round_items(markings):
+            for used, label, produced in self._round_items(seeds):
                 key = (freeze(used), label, freeze(produced))
                 if key in transitions:
                     continue
                 if len(transitions) >= self.budget.max_transitions:
                     complete = False
                     continue
-                if not all(register(p) for p in list(used) + list(produced)):
+                if not admit(transitions, key, used, label, produced):
                     complete = False
                     continue
-                transitions[key] = (used, label, produced)
                 grew = True
             complete = complete and not self.truncated_items
             if not grew or not complete:
@@ -314,19 +339,15 @@ class NetBuilder:
                 and not self.truncated_items):
             # the structure stopped growing before the marking search could
             # saturate: decide enabledness exactly instead
-            fixed = self._backward_closure(m0, transitions, register, order)
+            fixed = self._backward_closure(m0, transitions, admit, order)
             if fixed is not None:
                 transitions = fixed
                 complete = True
 
-        trans = sorted(
-            ((Counter({place_index[s]: n for s, n in used.items()}),
-              label,
-              Counter({place_index[s]: n for s, n in produced.items()}))
-             for used, label, produced in transitions.values()),
-            key=lambda t: (marking_key(t[0]), label_key(t[1]),
-                           marking_key(t[2])))
-        net = PTNet(
+        trans = sorted((t for _, _, t in transitions.values()),
+                       key=lambda t: (marking_key(t[0]), label_key(t[1]),
+                                      marking_key(t[2])))
+        return PTNet(
             name=name,
             place_names=["s%d" % (i + 1) for i in range(len(order))],
             initial=Counter({place_index[s]: n for s, n in m0.items()
@@ -336,45 +357,13 @@ class NetBuilder:
             complete=complete,
             place_terms=list(order),
         )
-        return net
 
-    def _coverability(self, m0: Counter, transitions) -> tuple:
-        """Karp-Miller: the maximal coverable (omega-)markings, and whether
-        the tree stayed within budget."""
-        tlist = sorted(transitions,
-                       key=lambda t: (marking_key(t[0], term_key),
-                                      label_key(t[1])))
-        # the tree compares markings constantly: work on dense int vectors
-        # over the fixed universe of places mentioned by m0 or a transition
-        ids: dict = {}
-        for m in [m0] + [x for pre, _, post in tlist for x in (pre, post)]:
-            for s in sorted(m, key=term_key):
-                ids.setdefault(s, len(ids))
-        n = len(ids)
-
-        def vec(m: Counter) -> tuple:
-            v = [0] * n
-            for s, c in m.items():
-                v[ids[s]] = c
-            return tuple(v)
-
-        # fire through sparse presets and effects: a transition touches
-        # few of the places
-        rules = []
-        for pre, _, post in tlist:
-            delta = Counter({ids[s]: c for s, c in post.items()})
-            delta.subtract({ids[s]: c for s, c in pre.items()})
-            rules.append((tuple(sorted((ids[s], c) for s, c in pre.items())),
-                          tuple(sorted((i, d) for i, d in delta.items() if d))))
-        vm0 = vec(m0)
-
-        def counters(maximal) -> list:
-            rev = {i: s for s, i in ids.items()}
-            out = [Counter({rev[i]: c for i, c in enumerate(m) if c})
-                   for m in maximal]
-            out.sort(key=lambda m: marking_key(m, term_key))
-            return out
-
+    def _coverability(self, vm0: tuple, rules: list) -> tuple:
+        """Karp-Miller over place ids: the maximal (omega-)vectors coverable
+        from vm0 under the firing rules, and whether the tree stayed within
+        budget.  The rules' order is the tree's depth-first order, which
+        decides what a budget cut keeps."""
+        n = len(vm0)
         # Nodes with equal (omega-)markings are merged globally, not only
         # along the current branch: the first occurrence explores every
         # continuation, and a pump loop that would have accelerated against
@@ -396,7 +385,7 @@ class NetBuilder:
             node = stack.pop()
             marking, marked, _ = node
             for pre, delta in rules:
-                if any(marking[i] < c for i, c in pre):
+                if not _enabled(pre, marking):
                     continue
                 nxt = list(marking)
                 nmarked = marked
@@ -425,9 +414,9 @@ class NetBuilder:
                 seen.add(nxt)
                 order.append(nxt)
                 stack.append((nxt, nmarked, node))
-        return counters(antichain(order)), complete
+        return antichain(order), complete
 
-    def _backward_closure(self, m0: Counter, transitions: dict, register,
+    def _backward_closure(self, m0: Counter, transitions: dict, admit,
                           order: list):
         """Exact enabledness for nets whose marking space defeats the
         forward search.
@@ -464,14 +453,8 @@ class NetBuilder:
         else:
             return None
 
-        ids = {p: i for i, p in enumerate(known)}
-        width = len(known)
-
         def vec(m: Counter) -> tuple:
-            v = [0] * width
-            for s, c in m.items():
-                v[ids[s]] = c
-            return tuple(v)
+            return tuple(m[p] for p in known)
 
         vm0 = vec(m0)
         cap = self.budget.max_states
@@ -528,11 +511,11 @@ class NetBuilder:
             # the forward search saw a transition the filter rejected; do
             # not emit a net missing observed behaviour
             return None
-        for used, _, produced in kept.values():
-            for p in list(used) + list(produced):
-                if not register(p):
-                    return None
-        return kept
+        table: dict = {}
+        for key, (used, label, produced) in kept.items():
+            if not admit(table, key, used, label, produced):
+                return None
+        return table
 
 
 def build_net(program: Program, mode: SyncMode | None = None,
@@ -540,9 +523,7 @@ def build_net(program: Program, mode: SyncMode | None = None,
     """The net of a program.  mode=None selects finite-net synchronization
     when the program lies in the finite-net fragment, general otherwise."""
     if mode is None:
-        from .terms import classify_finite_net
-        flag, _ = classify_finite_net(program)
-        mode = SyncMode.FINITE_NET if flag else SyncMode.GENERAL
+        mode = auto_mode(program)
     return NetBuilder(program.env, mode, budget).build(program.main, program.name)
 
 
@@ -551,23 +532,30 @@ def build_net(program: Program, mode: SyncMode | None = None,
 
 
 def _explore(net: PTNet, budget: Budget, visit=None):
-    """`lts.explore` over the reachable markings of net, each state its
-    `marking_key`; visit(m, kept) sees the markings as Counters."""
-    def successors(key) -> list:
-        m = Counter(dict(key))
-        return [(label, marking_key(fire(m, pre, post)))
-                for pre, label, post in net.transitions
-                if marking_leq(pre, m)]
+    """`lts.explore` over the reachable markings of net, each a tuple of
+    token counts in place order; visit(m, kept) sees them as such."""
+    rules = [(firing_rule(pre, post), label)
+             for pre, label, post in net.transitions]
 
-    hook = visit and (lambda key, kept: visit(Counter(dict(key)), kept))
-    return explore(marking_key(net.initial), successors, budget.max_states,
-                   hook)
+    def successors(m: tuple) -> list:
+        out = []
+        for (pre, effect), label in rules:
+            if _enabled(pre, m):
+                nxt = list(m)
+                for i, d in effect:
+                    nxt[i] += d
+                out.append((label, tuple(nxt)))
+        return out
+
+    m0 = tuple(net.initial.get(i, 0) for i in range(len(net.place_names)))
+    return explore(m0, successors, budget.max_states, visit)
 
 
 def marking_graph(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> Lts:
     """Reachability graph: states are markings, edges are transition labels."""
     keys, edges, complete = _explore(net, budget)
-    states = [format_marking(dict(k), net.place_names) for k in keys]
+    states = [format_marking({i: n for i, n in enumerate(m) if n},
+                             net.place_names) for m in keys]
     return Lts(states, edges, 0, complete, "marking")
 
 
@@ -581,9 +569,10 @@ def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
 
     def visit(m, kept) -> bool:
         if kept:
-            places_left.difference_update(s for s in m if m[s])
+            places_left.difference_update(i for i, n in enumerate(m) if n)
             trans_left.difference_update(
-                [i for i in trans_left if marking_leq(net.transitions[i][0], m)])
+                [j for j in trans_left
+                 if _enabled(net.transitions[j][0].items(), m)])
         return not places_left and not trans_left
 
     result = _explore(net, budget, visit)
@@ -594,8 +583,7 @@ def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
 
 def is_safe(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
     """'yes' / 'no' / 'unknown': no reachable marking puts 2 tokens on a place."""
-    result = _explore(net, budget,
-                      lambda m, kept: any(n > 1 for n in m.values()))
+    result = _explore(net, budget, lambda m, kept: any(n > 1 for n in m))
     if result is None:
         return "no"
     return "yes" if result[2] else "unknown"

@@ -84,10 +84,11 @@ class NameGen:
         self.n += 1
         return "§%d" % self.n
 
-    def fns(self, t: Term) -> frozenset:
+    def fns(self, t: Term) -> tuple:
+        """The free names of t, sorted."""
         hit = self._fns.get(t)
         if hit is None:
-            hit = free_names(t, self.env)
+            hit = tuple(sorted(free_names(t, self.env)))
             self._fns[t] = hit
         return hit
 
@@ -153,8 +154,7 @@ def _slot(name: str, scope: dict):
 
 
 def _skel(t: Term, scope: dict, depth: int, gen: NameGen):
-    key = (t, depth,
-           tuple(sorted((n, v) for n, v in scope.items() if n in gen.fns(t))))
+    key = (t, depth, tuple((n, scope[n]) for n in gen.fns(t) if n in scope))
     hit = gen.memo.get(key)
     if hit is None:
         hit = _skel_raw(t, scope, depth, gen)

@@ -17,12 +17,19 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 
-from .terms import TAU_ACT
+from .terms import TAU_ACT, classify_finite_net
 
 
 class SyncMode(enum.Enum):
     GENERAL = "general"
     FINITE_NET = "finite-net"
+
+
+def auto_mode(program) -> SyncMode:
+    """Finite-net synchronization when the program lies in the finite-net
+    fragment, general synchronization otherwise."""
+    flag, _ = classify_finite_net(program)
+    return SyncMode.FINITE_NET if flag else SyncMode.GENERAL
 
 
 @lru_cache(maxsize=None)

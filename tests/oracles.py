@@ -10,9 +10,9 @@ from collections import Counter
 from itertools import permutations
 
 from multiccs.lts import DEFAULT_BUDGET
-from multiccs.nets import OMEGA, NetBuilder, marking_key
-from multiccs.sync import SyncMode
-from multiccs.terms import TAU_ACT, classify_finite_net, label_key, term_key
+from multiccs.nets import OMEGA, NetBuilder
+from multiccs.sync import auto_mode
+from multiccs.terms import TAU_ACT
 
 
 def oracle_sync(s1, s2):
@@ -140,24 +140,19 @@ class PerSeedNetBuilder(NetBuilder):
                     out.append((used, label, produced))
         return out
 
-    def _coverability(self, m0, transitions):
-        tlist = sorted(transitions,
-                       key=lambda t: (marking_key(t[0], term_key),
-                                      label_key(t[1])))
-        ids = {}
-        for m in [m0] + [x for pre, _, post in tlist for x in (pre, post)]:
-            for s in sorted(m, key=term_key):
-                ids.setdefault(s, len(ids))
-        n = len(ids)
+    def _coverability(self, vm0, rules):
+        n = len(vm0)
 
-        def vec(m):
+        def dense(pairs):
             v = [0] * n
-            for s, c in m.items():
-                v[ids[s]] = c
-            return tuple(v)
+            for i, c in pairs:
+                v[i] = c
+            return v
 
-        vm0 = vec(m0)
-        vtlist = [(vec(pre), vec(post)) for pre, _, post in tlist]
+        vtlist = []
+        for pre, effect in rules:
+            vpre = dense(pre)
+            vtlist.append((vpre, [p + d for p, d in zip(vpre, dense(effect))]))
         complete = True
         seen = {vm0}
         order = [vm0]
@@ -189,17 +184,12 @@ class PerSeedNetBuilder(NetBuilder):
                 seen.add(nxt)
                 order.append(nxt)
                 stack.append((nxt, (marking, parent)))
-        rev = {i: s for s, i in ids.items()}
-        out = [Counter({rev[i]: c for i, c in enumerate(m) if c})
-               for m in brute_antichain(order)]
-        out.sort(key=lambda m: marking_key(m, term_key))
-        return out, complete
+        return list(brute_antichain(order)), complete
 
 
 def per_seed_build_net(program, mode=None, budget=DEFAULT_BUDGET):
     """`build_net` through `PerSeedNetBuilder`."""
     if mode is None:
-        mode = (SyncMode.FINITE_NET if classify_finite_net(program)[0]
-                else SyncMode.GENERAL)
+        mode = auto_mode(program)
     builder = PerSeedNetBuilder(program.env, mode, budget)
     return builder.build(program.main, program.name)

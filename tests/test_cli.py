@@ -241,6 +241,20 @@ class TestComparisons:
         assert run("net-bisim", path("loop_a.pnet"), path("cycle_a.pnet")) == 0
         assert "bisimilar: yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("bisim", path("semicounter.mccs"), "--against-net",
+         "--max-states", "6"),
+        ("net-bisim", path("weighted.pnet"), path("weighted.pnet"),
+         "--max-states", "3"),
+    ])
+    def test_truncated_comparison_is_reported_in_one_line(self, capsys,
+                                                          argv):
+        assert run(*argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("the first system was truncated by a budget;"
+                                " bisimilarity over it would be unsound\n")
+        assert captured.out == ""
+
 
 class TestSyncCommand:
     def test_outcomes(self, capsys):

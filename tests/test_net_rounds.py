@@ -15,16 +15,18 @@ import pytest
 import multiccs.nets
 from multiccs.lts import Budget, closure
 from multiccs.net2term import translate
-from multiccs.nets import OMEGA, NetBuilder, antichain, build_net, format_pnet
+from multiccs.nets import (
+    OMEGA, NetBuilder, antichain, build_net, firing_rule, format_pnet,
+)
 from multiccs.parser import parse_program
 from multiccs.sync import SyncMode
 from multiccs.terms import check_wellformed, format_term
 
 from conftest import (
     CORPUS, load_program, philosophers_ring, random_finite_net_program,
-    random_reduced_nets,
+    random_net, random_reduced_nets,
 )
-from oracles import brute_antichain, per_seed_build_net
+from oracles import PerSeedNetBuilder, brute_antichain, per_seed_build_net
 
 BUDGET = Budget(max_states=40, max_places=60, max_transitions=120)
 
@@ -160,3 +162,28 @@ def test_antichain_keeps_exactly_the_maximal_vectors():
         kept = antichain(vectors)
         assert len(kept) == len(set(kept))
         assert set(kept) == brute_antichain(vectors)
+
+
+@pytest.mark.parametrize("max_states", [3, 8, 400])
+def test_karp_miller_matches_the_dense_oracle(max_states):
+    env = parse_program("main = 0;").env
+    budget = Budget(max_states=max_states)
+    fast = NetBuilder(env, SyncMode.GENERAL, budget)
+    dense = PerSeedNetBuilder(env, SyncMode.GENERAL, budget)
+    rng = random.Random(1011)
+    flags, omegas = set(), 0
+    for _ in range(150):
+        net = random_net(rng, ccs_shape=rng.random() < 0.5)
+        vm0 = tuple(net.initial.get(i, 0) for i in range(len(net.place_names)))
+        rules = [firing_rule(pre, post) for pre, _, post in net.transitions]
+        got, complete = fast._coverability(vm0, rules)
+        want, want_complete = dense._coverability(vm0, rules)
+        assert len(got) == len(set(got))
+        assert set(got) == set(want)
+        assert complete == want_complete
+        flags.add(complete)
+        omegas += any(OMEGA in v for v in got)
+    # the sample holds unbounded nets, and small caps cut some trees
+    assert omegas > 0
+    assert True in flags
+    assert False in flags or max_states > 8

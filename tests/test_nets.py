@@ -9,8 +9,8 @@ import multiccs.lts
 import multiccs.nets
 from multiccs.lts import Budget
 from multiccs.nets import (
-    FreshAllocator, PTNet, build_net, dec, fire, format_marking, format_pnet,
-    is_reduced, is_safe, marking_graph, marking_leq, parse_pnet,
+    FreshAllocator, NetBuilder, PTNet, build_net, dec, format_marking,
+    format_pnet, is_reduced, is_safe, marking_graph, parse_pnet,
 )
 from multiccs.parser import ParseError, parse_program, parse_term
 from multiccs.sync import SyncMode, sync_outcomes
@@ -86,14 +86,6 @@ class TestDecomposition:
 
 
 class TestTokenGame:
-    def test_fire_and_leq(self):
-        m = Counter({0: 2, 1: 1})
-        pre = Counter({0: 2})
-        post = Counter({2: 1})
-        assert marking_leq(pre, m)
-        assert fire(m, pre, post) == Counter({1: 1, 2: 1})
-        assert not marking_leq(Counter({0: 3}), m)
-
     def test_weighted_arcs(self):
         net = load_net("weighted")
         g = marking_graph(net)
@@ -222,6 +214,35 @@ class TestBuiltNets:
         assert sorted(format_sequence(label) for _, label, _ in items) \
             == ["a", "tau", "~a"]
         assert not builder.truncated_items
+
+    def fallback_build(self, monkeypatch, budget):
+        # four independent two-step sequences: 81 reachable markings, far
+        # more than the Karp-Miller tree may hold under max_states=4
+        prog = parse_program("main = a.b.0 | c.d.0 | e.f.0 | g.h.0;")
+        results = []
+        real = NetBuilder._backward_closure
+
+        def spy(self, *args):
+            results.append(real(self, *args))
+            return results[-1]
+
+        monkeypatch.setattr(NetBuilder, "_backward_closure", spy)
+        return prog, build_net(prog, budget=budget), results
+
+    def test_backward_fallback_completes_a_truncated_search(self, monkeypatch):
+        prog, net, results = self.fallback_build(
+            monkeypatch, Budget(max_states=4))
+        assert len(results) == 1 and results[0] is not None
+        assert net.complete
+        assert format_pnet(net) == format_pnet(build_net(prog))
+
+    def test_backward_fallback_over_budget_leaves_the_net_truncated(
+            self, monkeypatch):
+        _, net, results = self.fallback_build(
+            monkeypatch, Budget(max_states=4, max_transitions=6))
+        assert results == [None]
+        assert not net.complete
+        assert len(net.transitions) == 6
 
     def test_mode_defaults_to_the_fragment_check(self):
         sc = load_program("semicounter")

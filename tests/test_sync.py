@@ -5,9 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiccs.sync import SyncMode, is_sync, sync_outcomes
+from multiccs.sync import SyncMode, auto_mode, is_sync, sync_outcomes
 from multiccs.terms import TAU_ACT, act_in, act_out
 
+from conftest import load_program
 from oracles import oracle_sync
 
 A, CA = act_in("a"), act_out("a")
@@ -141,3 +142,12 @@ def test_is_sync_consistent(s1, s2):
     for out in oracle_sync(s1, s2):
         assert is_sync(s1, s2, out)
     assert not is_sync(s1, s2, (B, CB, B, CB, B, CB, B, CB, B, CB))
+
+
+@pytest.mark.parametrize("name, mode", [
+    ("semicounter", SyncMode.FINITE_NET),
+    ("dining", SyncMode.FINITE_NET),
+    ("counter", SyncMode.GENERAL),
+])
+def test_auto_mode_follows_the_finite_net_fragment(name, mode):
+    assert auto_mode(load_program(name)) is mode
