@@ -19,17 +19,35 @@ A single channel per transition leaves the collector free to gather its
 tokens from ANY places that offer that channel, so when two offering
 places can simultaneously hold more tokens than the transition consumes
 from them, the rebuilt net gains synchronizations the input never had.
-When a net both has a transition with two or more distinct offering
-places and fails an exact rebuild under the shared channel, translate
-switches that net to one channel per (transition, offering place), which
-pins every gathered token to its place and restores the exact rebuild at
-the cost of a less economical term.
+Translate keeps the shared channel when a token game over the input net
+shows that this cannot happen, as follows.  For a transition t with
+collector place l, let g(s) = pre_t(s) - [s = l] be the tokens the
+collector gathers from each offering place s (`_sources`), and call t
+multi-source when it has two or more.  Suppose no reachable marking m
+has m(s) > pre_t(s) on an offering place s of a multi-source t; on l the
+count includes the collector's own token, which cannot also offer.  Then
+a collector at m finds at most m(s) - [s = l] <= g(s) offers on each s
+and must gather sum g(s) of them, so it takes exactly g(s) from each:
+it consumes exactly pre_t, and only where t is enabled.  A collector of
+a single-source transition has one place to gather from, so it too
+consumes exactly its preset.  By induction over firing sequences, the
+rebuilt net reaches the images of the net's reachable markings, where
+the bound holds again, and fires exactly the net's transitions there,
+so it is isomorphic to the net.  The bound is checked by a breadth-first
+search of the reachable markings that stops at the first marking
+breaking it (`_offers_are_bounded`).  When that search stops early or
+runs out of its state budget, translate decides by rebuilding the net
+of the shared program and testing it for isomorphism, and if that fails
+it switches to one channel per (transition, offering place), which pins
+every gathered token to its place and restores the exact rebuild at the
+cost of a less economical term.
 """
 
 import re
 from collections import Counter
 
-from .nets import PTNet
+from .lts import DEFAULT_BUDGET
+from .nets import PTNet, _explore
 from .terms import (
     Const,
     Env,
@@ -139,6 +157,47 @@ def _assemble(net: PTNet, chan: dict, restricted: list, ys, consts,
     return Program(env, body, name)
 
 
+def _encode(net: PTNet, name: str, pinned: bool) -> Program:
+    """The program of `net` with one channel per transition, or with
+    `pinned`, one per (transition, offering place)."""
+    visible = {label[0].name for _, label, _ in net.transitions
+               if not label[0].is_tau}
+    xbase = _fresh_prefix("x", visible)
+    ybase = _fresh_prefix("y", visible)
+    xs = [xbase + str(j + 1) for j in range(len(net.transitions))]
+    ys = [ybase + str(i + 1) for i in range(len(net.place_names))]
+    consts = ["C" + str(i + 1) for i in range(len(net.place_names))]
+    chan: dict = {}
+    extra: list = []
+    for j, (pre, _, _) in enumerate(net.transitions):
+        for k, s in enumerate(_sources(pre)):
+            if k == 0 or not pinned:
+                chan[j, s] = xs[j]
+            else:
+                extra.append(xbase + str(len(xs) + len(extra) + 1))
+                chan[j, s] = extra[-1]
+    return _assemble(net, chan, xs + extra, ys, consts, name)
+
+
+def _offers_are_bounded(net: PTNet) -> bool:
+    """Whether no reachable marking puts more tokens on an offering place
+    of a multi-source transition than that transition consumes from it
+    (see the module docstring).  False also when the marking search runs
+    out of its state budget."""
+    bound: dict = {}
+    for pre, _, _ in net.transitions:
+        sources = _sources(pre)
+        if len(sources) >= 2:
+            for s in sources:
+                bound[s] = min(bound.get(s, pre[s]), pre[s])
+    if not bound:
+        return True
+    limits = sorted(bound.items())
+    result = _explore(net, DEFAULT_BUDGET,
+                      lambda m, kept: any(m[s] > b for s, b in limits))
+    return result is not None and result[2]
+
+
 def _rebuilds_exactly(net: PTNet, prog: Program) -> bool:
     from .equiv import isomorphic
     from .nets import build_net
@@ -162,32 +221,11 @@ def translate(net: PTNet, name: str | None = None) -> Program:
         if not pre:
             raise TranslationError("transition %s has an empty preset" % tn)
 
-    visible = {label[0].name for _, label, _ in net.transitions
-               if not label[0].is_tau}
-    xbase = _fresh_prefix("x", visible)
-    ybase = _fresh_prefix("y", visible)
-    xs = [xbase + str(j + 1) for j in range(len(net.transitions))]
-    ys = [ybase + str(i + 1) for i in range(len(net.place_names))]
-    consts = ["C" + str(i + 1) for i in range(len(net.place_names))]
     name = name if name is not None else net.name
-
-    shared = {(j, s): xs[j]
-              for j, (pre, _, _) in enumerate(net.transitions)
-              for s in _sources(pre)}
-    prog = _assemble(net, shared, xs, ys, consts, name)
-    if (any(len(_sources(pre)) >= 2 for pre, _, _ in net.transitions)
-            and not _rebuilds_exactly(net, prog)):
+    prog = _encode(net, name, pinned=False)
+    if not _offers_are_bounded(net) and not _rebuilds_exactly(net, prog):
         # gathering went astray: pin every gathered token to its place
-        chan: dict = {}
-        extra: list = []
-        for j, (pre, _, _) in enumerate(net.transitions):
-            for k, s in enumerate(_sources(pre)):
-                if k == 0:
-                    chan[j, s] = xs[j]
-                else:
-                    extra.append(xbase + str(len(xs) + len(extra) + 1))
-                    chan[j, s] = extra[-1]
-        prog = _assemble(net, chan, xs + extra, ys, consts, name)
+        prog = _encode(net, name, pinned=True)
     return prog
 
 

@@ -22,7 +22,9 @@ the closure over that seed alone, in the same order, so the round emits,
 seed by seed in marking order, what one closure per seed would: places
 are numbered and restricted names allocated as in that reading.  The item
 cap (`NetBuilder.item_cap`) bounds the one closure of a round, so a round
-may trip it where no single seed would.
+may trip it where no single seed would.  A round whose seeds are those of
+the round before it ends the fixpoint: it would derive the same items,
+and that round admitted them all.
 
 Places are numbered once, when the construction first meets them, and
 each transition is compiled once, when it is admitted, into a
@@ -245,9 +247,10 @@ class NetBuilder:
 
         With `seeds`, whose join `join` is, the closure of one fixpoint
         round: only the items below some seed, each with the bitmask of the
-        seeds it lies below as a fourth field (see `lts.closure`)."""
-        key = (freeze(join),
-               None if seeds is None else tuple(map(freeze, seeds)))
+        seeds it lies below as a fourth field (see `lts.closure`).  No two
+        rounds have the same seeds, so only calls without seeds are cached:
+        strong-prefix bodies and the omega seeds of `_backward_closure`."""
+        key = freeze(join) if seeds is None else None
         hit = self._derived.get(key)
         if hit is None:
             # place moves allocate restricted names: meet the places seed
@@ -255,9 +258,10 @@ class NetBuilder:
             for seed in seeds or ():
                 for p in sorted(seed, key=term_key):
                     self.place_moves(p)
-            hit = self._derived[key] = closure(
-                join, self.place_moves, self.mode, self.budget.max_seq_len,
-                self.item_cap, seeds)
+            hit = closure(join, self.place_moves, self.mode,
+                          self.budget.max_seq_len, self.item_cap, seeds)
+            if key is not None:
+                self._derived[key] = hit
         items, truncated = hit
         self.truncated_items = self.truncated_items or truncated
         return items
@@ -308,6 +312,7 @@ class NetBuilder:
         complete = fits
         transitions: dict = {}
         self.truncated_items = False
+        last_seeds = None
 
         while fits:
             ranked = sorted(transitions.values(), key=itemgetter(0))
@@ -318,8 +323,13 @@ class NetBuilder:
                 (Counter({order[i]: c for i, c in enumerate(v) if c})
                  for v in maximal),
                 key=lambda m: marking_key(m, term_key))
-            grew = False
             known_places = len(order)
+            if seeds == last_seeds:
+                # the last round's seeds derive the last round's items, and
+                # a round only ends without a cut when it admitted them all
+                break
+            last_seeds = seeds
+            grew = False
             for used, label, produced in self._round_items(seeds):
                 key = (freeze(used), label, freeze(produced))
                 if key in transitions:

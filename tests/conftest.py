@@ -190,17 +190,20 @@ def random_net(rng, ccs_shape: bool) -> PTNet:
                  ["t%d" % (i + 1) for i in range(len(transitions))])
 
 
-def philosophers_ring(n: int) -> PTNet:
+def philosophers_ring(n: int, shared: bool = False) -> PTNet:
     """A ring of n dining philosophers: places t_i (thinking), e_i (eating)
-    and f_i (forks), a take and a put transition per philosopher."""
+    and f_i (forks), a take and a put transition per philosopher.  With
+    `shared`, every take is labelled eat and every put think."""
     names = (["t%d" % i for i in range(n)] + ["e%d" % i for i in range(n)]
              + ["f%d" % i for i in range(n)])
     transitions = []
     for i in range(n):
         forks = Counter({2 * n + i: 1, 2 * n + (i + 1) % n: 1})
-        transitions.append((forks + Counter({i: 1}), (act_in("take%d" % i),),
+        take = "eat" if shared else "take%d" % i
+        put = "think" if shared else "put%d" % i
+        transitions.append((forks + Counter({i: 1}), (act_in(take),),
                             Counter({n + i: 1})))
-        transitions.append((Counter({n + i: 1}), (act_in("put%d" % i),),
+        transitions.append((Counter({n + i: 1}), (act_in(put),),
                             forks + Counter({i: 1})))
     initial = Counter({i: 1 for i in range(n)})
     initial.update({2 * n + i: 1 for i in range(n)})

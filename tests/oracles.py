@@ -10,6 +10,7 @@ from collections import Counter
 from itertools import permutations
 
 from multiccs.lts import DEFAULT_BUDGET
+from multiccs.net2term import _encode, _rebuilds_exactly, _sources
 from multiccs.nets import OMEGA, NetBuilder
 from multiccs.sync import auto_mode
 from multiccs.terms import TAU_ACT
@@ -193,3 +194,19 @@ def per_seed_build_net(program, mode=None, budget=DEFAULT_BUDGET):
         mode = auto_mode(program)
     builder = PerSeedNetBuilder(program.env, mode, budget)
     return builder.build(program.main, program.name)
+
+
+def multi_source(net) -> bool:
+    """Whether some transition of `net` has two or more offering places."""
+    return any(len(_sources(pre)) >= 2 for pre, _, _ in net.transitions)
+
+
+def rebuild_translate(net, name=None):
+    """`translate` choosing its channel encoding by rebuilding alone: the
+    shared channel, unless some transition has two offering places and
+    the net of the shared program is not isomorphic to `net`."""
+    name = name if name is not None else net.name
+    prog = _encode(net, name, pinned=False)
+    if multi_source(net) and not _rebuilds_exactly(net, prog):
+        prog = _encode(net, name, pinned=True)
+    return prog

@@ -1,6 +1,7 @@
 """Net-to-term translation: pinned outputs, the no-strong-prefix subclass,
-validation, and net reconstruction."""
+validation, net reconstruction, and the choice of channel encoding."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from multiccs.equiv import isomorphic, verify_isomorphism
 from multiccs.lts import Budget, build_lts
 from multiccs.nets import PTNet, build_net, parse_pnet
-from multiccs.net2term import TranslationError, is_ccs_net, translate
+from multiccs.net2term import (
+    TranslationError, _encode, _offers_are_bounded, _rebuilds_exactly,
+    is_ccs_net, translate,
+)
 from multiccs.parser import format_program
 from multiccs.sync import SyncMode
 from multiccs.terms import (
@@ -16,7 +20,10 @@ from multiccs.terms import (
     iter_subterms, TAU_ACT,
 )
 
-from conftest import load_net, load_program
+from conftest import (
+    CORPUS, load_net, load_program, philosophers_ring, random_reduced_nets,
+)
+from oracles import multi_source, rebuild_translate
 
 
 PINNED_PHILS = """\
@@ -34,6 +41,33 @@ C1 = ~x1.0 + <x1>.a.C1 + ~x2.0 + <x3>.<x3>.c.C3 + y1.0;
 C2 = <x2>.<x2>.b.0 + ~x3.0 + y2.0;
 C3 = y3.0;
 main = new(x1, x2, x3, y1, y2, y3) C1 | C1 | C1 | C2 | C2;
+"""
+
+
+# s2 holds two tokens where t1 takes one, so a collector on one shared
+# channel could gather both of them from s2
+OVERFULL_NET = ("net n place s1 init 1 place s2 init 2 place s3 init 1 "
+                "trans t1 label a in s1:1 s2:1 s3:1 out s1:1 s2:1 s3:1")
+
+PINNED_OVERFULL = """\
+C1 = <x1>.<x2>.a.(C1 | C2 | C3) + y1.0;
+C2 = ~x1.0 + y2.0;
+C3 = ~x2.0 + y3.0;
+main = new(x1, x2, y1, y2, y3) C1 | C2 | C2 | C3;
+"""
+
+# s2 gets its second token only after the collector on s1 has fired
+LATE_NET = ("net n place s1 init 1 place s2 init 1 place s3 init 1 "
+            "place s4 init 0 "
+            "trans t1 label a in s1:1 s2:1 s3:1 out s4:1 "
+            "trans t2 label b in s4:1 out s2:2")
+
+SHARED_LATE = """\
+C1 = <x1>.<x1>.a.C4 + y1.0;
+C2 = ~x1.0 + y2.0;
+C3 = ~x1.0 + y3.0;
+C4 = b.(C2 | C2) + y4.0;
+main = new(x1, x2, y1, y2, y3, y4) C1 | C2 | C3;
 """
 
 
@@ -59,6 +93,23 @@ class TestPinnedTranslations:
     def test_self_loop(self):
         prog = translate(load_net("loop_a"))
         assert format_program(prog) == "C1 = a.C1 + y1.0;\nmain = new(x1, y1) C1;\n"
+
+    def test_overfull_offering_place_pins_the_channels(self):
+        net = parse_pnet(OVERFULL_NET)
+        prog = translate(net)
+        assert format_program(prog) == PINNED_OVERFULL
+        rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
+        assert rebuilt.complete and isomorphic(net, rebuilt).found
+
+    def test_uncertified_net_keeps_the_shared_channel(self):
+        # the marking search stops where s2 holds two tokens, although no
+        # collector is left to gather them; the rebuild decides instead
+        net = parse_pnet(LATE_NET)
+        assert not _offers_are_bounded(net)
+        prog = translate(net)
+        assert format_program(prog) == SHARED_LATE
+        rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
+        assert rebuilt.complete and isomorphic(net, rebuilt).found
 
     def test_results_are_wellformed_finite_net_programs(self):
         for name in ["phils", "weighted", "loop_a", "cycle_a"]:
@@ -166,3 +217,36 @@ class TestValidation:
         assert "new(xx1, xx2, yy1)" in text
         rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
         assert isomorphic(net, rebuilt).found
+
+
+NET_FAMILIES = {
+    "corpus": lambda: [load_net(p.name) for p in sorted(CORPUS.glob("*.pnet"))],
+    "rings": lambda: [philosophers_ring(n) for n in range(3, 9)],
+    "shared_rings": lambda: [philosophers_ring(n, shared=True)
+                             for n in (3, 4)],
+    "random_ccs": lambda: random_reduced_nets(random.Random(6433), 150,
+                                              ccs_shape=True),
+    "random": lambda: random_reduced_nets(random.Random(6433), 150),
+}
+
+
+class TestChannelDecision:
+    @pytest.mark.parametrize("family", sorted(NET_FAMILIES))
+    def test_translate_matches_the_rebuild_oracle(self, family):
+        for k, net in enumerate(NET_FAMILIES[family]()):
+            assert (format_program(translate(net))
+                    == format_program(rebuild_translate(net))), (family, k)
+
+    def test_certified_shared_channels_rebuild_exactly(self):
+        certified = uncertified = 0
+        for family, make in sorted(NET_FAMILIES.items()):
+            for k, net in enumerate(make()):
+                if not multi_source(net):
+                    continue
+                if not _offers_are_bounded(net):
+                    uncertified += 1
+                    continue
+                certified += 1
+                shared = _encode(net, net.name, pinned=False)
+                assert _rebuilds_exactly(net, shared), (family, k)
+        assert certified and uncertified
