@@ -12,7 +12,7 @@ from .terms import (
 from .parser import ParseError, parse_program, parse_term, format_program
 from .sync import SyncMode, sync_outcomes, is_sync
 from .normalform import NormalForm, normalize
-from .lts import Budget, DEFAULT_BUDGET, Lts, StepEngine, step, build_lts, format_label
+from .lts import Budget, DEFAULT_BUDGET, Lts, StepEngine, step, build_lts
 from .nets import (
     PTNet, dec, build_net, NetBuilder, marking_graph, parse_pnet, format_pnet,
     format_marking, marking_key, is_reduced, is_safe, OMEGA,
@@ -37,7 +37,6 @@ __all__ = [
     "SyncMode", "sync_outcomes", "is_sync",
     "NormalForm", "normalize",
     "Budget", "DEFAULT_BUDGET", "Lts", "StepEngine", "step", "build_lts",
-    "format_label",
     "PTNet", "dec", "build_net", "NetBuilder", "marking_graph",
     "parse_pnet", "format_pnet", "format_marking", "marking_key",
     "is_reduced", "is_safe", "OMEGA",

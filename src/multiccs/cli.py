@@ -9,7 +9,7 @@ import sys
 
 from .dot import lts_dot, net_dot
 from .equiv import (IncompleteLtsError, bisimilar, isomorphic, net_bisimilar)
-from .lts import DEFAULT_BUDGET, Budget, build_lts, format_label
+from .lts import DEFAULT_BUDGET, Budget, build_lts
 from .nets import (build_net, format_marking, format_pnet, is_reduced,
                    is_safe, marking_graph, parse_pnet)
 from .net2term import is_ccs_net, translate
@@ -122,7 +122,7 @@ def cmd_lts(args) -> int:
         for src, label, tgt in sorted(
                 lts.transitions,
                 key=lambda t: (t[0], label_key(t[1]), t[2])):
-            print("q%d --%s--> q%d" % (src, format_label(label), tgt))
+            print("q%d --%s--> q%d" % (src, format_sequence(label), tgt))
     return OK if lts.complete else EBUDGET
 
 
@@ -142,7 +142,7 @@ def cmd_net(args) -> int:
     for j, (pre, label, post) in enumerate(net.transitions):
         print("%s: %s --%s--> %s"
               % (net.trans_names[j], format_marking(pre, net.place_names),
-                 format_label(label), format_marking(post, net.place_names)))
+                 format_sequence(label), format_marking(post, net.place_names)))
     if args.analyse:
         print("reduced: %s" % is_reduced(net, _budget(args)))
         print("safe: %s" % is_safe(net, _budget(args)))
@@ -284,7 +284,7 @@ def cmd_step(args) -> int:
             print("no moves (deadlock)", file=out)
             return status
         for i, (label, target) in enumerate(moves):
-            print("  [%d] --%s--> %s" % (i, format_label(label),
+            print("  [%d] --%s--> %s" % (i, format_sequence(label),
                                          target.key()), file=out)
         line = sys.stdin.readline()
         if not line or line.strip() in ("q", "quit"):

@@ -1,7 +1,8 @@
 """Graphviz (dot) rendering of transition systems and nets."""
 
-from .lts import Lts, format_label
+from .lts import Lts
 from .nets import PTNet
+from .terms import format_sequence
 
 __all__ = ["lts_dot", "net_dot"]
 
@@ -22,7 +23,7 @@ def lts_dot(lts: Lts, name: str = "lts") -> str:
         lines.append('  q%d [label="%d", tooltip="%s"];' % (i, i, _esc(key)))
     for src, label, tgt in lts.transitions:
         lines.append('  q%d -> q%d [label="%s"];'
-                     % (src, tgt, _esc(format_label(label))))
+                     % (src, tgt, _esc(format_sequence(label))))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -37,9 +38,9 @@ def net_dot(net: PTNet, name: str | None = None) -> str:
         label = pname if not tokens else "%s\\n%d" % (_esc(pname), tokens)
         lines.append('  p%d [shape=circle, label="%s"];' % (i, label))
     for j, (pre, label, post) in enumerate(net.transitions):
-        tname = net.trans_names[j] if j < len(net.trans_names) else "t%d" % (j + 1)
         lines.append('  t%d [shape=box, label="%s: %s"];'
-                     % (j, _esc(tname), _esc(format_label(label))))
+                     % (j, _esc(net.trans_names[j]),
+                        _esc(format_sequence(label))))
         for s, w in sorted(pre.items()):
             arc = ' [label="%d"]' % w if w > 1 else ""
             lines.append("  p%d -> t%d%s;" % (s, j, arc))

@@ -22,10 +22,10 @@ budget proves nothing about the states it never explored.
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .lts import Budget, DEFAULT_BUDGET, Lts, format_label
+from .lts import Budget, DEFAULT_BUDGET, Lts
 from .nets import PTNet, marking_graph, marking_key
 from .normalform import _refine
-from .terms import MccsError, label_key
+from .terms import MccsError, format_sequence, label_key
 
 __all__ = [
     "IncompleteLtsError", "Formula", "FTrue", "Diamond", "FAnd", "FNot",
@@ -75,7 +75,7 @@ def render_formula(f: Formula) -> str:
     if isinstance(f, FTrue):
         return "true"
     if isinstance(f, Diamond):
-        return "<%s>%s" % (format_label(f.label), render_formula(f.sub))
+        return "<%s>%s" % (format_sequence(f.label), render_formula(f.sub))
     if isinstance(f, FAnd):
         if not f.subs:
             return "true"

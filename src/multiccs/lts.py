@@ -42,8 +42,8 @@ from .normalform import (
 from .sync import SyncMode, sync_outcomes
 from .terms import (
     Const, Env, GuardednessError, MccsError, Nil, Prefix, Program,
-    StrongPrefix, Sum, Term, format_sequence, format_term, label_key,
-    sequence_names, term_key,
+    StrongPrefix, Sum, Term, format_term, label_key, sequence_names,
+    term_key,
 )
 
 
@@ -172,13 +172,9 @@ class Lts:
     transitions: list     # (source index, label sequence, target index)
     initial: int = 0
     complete: bool = True
-    kind: str = "term"    # "term" or "marking"
 
     def labels(self) -> set:
         return {label for _, label, _ in self.transitions}
-
-    def successors(self, i: int):
-        return [(label, j) for src, label, j in self.transitions if src == i]
 
     def summary(self) -> str:
         return "%d states, %d transitions, %s" % (
@@ -187,14 +183,16 @@ class Lts:
 
 
 class StepEngine:
-    """Move computation with per-term caches.
+    """Move computation with a per-component cache.
 
-    Caches are only filled with finished results; re-entering a term that
-    is still being computed means constant unfolding does not pass a
-    normal prefix, i.e. the input violates guardedness.  `truncated` is
-    set once a budget (the closure cap, or `max_seq_len` in general mode)
-    has cut some closure short; it stays set, as cached results may carry
-    the cut.
+    `seq_moves` memoizes the moves of every sequential or constant
+    component.  Inside the engine `term_moves` is called only from there,
+    on a strong-prefix body or a constant's body, so each is computed once
+    per component that holds it.  `term_moves` itself keeps only the terms
+    still being computed; re-entering one means constant unfolding does
+    not pass a normal prefix, i.e. the input violates guardedness.  `truncated` is set once a budget (the closure
+    cap, or `max_seq_len` in general mode) has cut some closure short; it
+    stays set, as cached results may carry the cut.
     """
 
     def __init__(self, env: Env, mode: SyncMode = SyncMode.GENERAL,
@@ -206,9 +204,8 @@ class StepEngine:
         self.strict = strict
         self.truncated = False
         self._seq_cache: dict = {}
-        self._term_cache: dict = {}
         self._busy: set = set()
-        # splits regions; its "§n" binder temporaries are unique for the
+        # splits regions; its "a#n" binder temporaries are unique for the
         # engine's lifetime, so nested splits never shadow each other
         self._names = NameGen(env, strict)
 
@@ -239,9 +236,6 @@ class StepEngine:
     # -- moves of an arbitrary term ----------------------------------------
 
     def term_moves(self, t: Term) -> tuple:
-        hit = self._term_cache.get(t)
-        if hit is not None:
-            return hit
         if t in self._busy:
             raise GuardednessError(
                 "constant unfolding does not reach a normal prefix in %s" % t)
@@ -254,7 +248,6 @@ class StepEngine:
                 for used, label, produced in self.closure(comps, binders)))
         finally:
             self._busy.discard(t)
-        self._term_cache[t] = moves
         return moves
 
     def closure(self, comps: Counter, restricted=()) -> list:
@@ -314,12 +307,14 @@ def explore(init, successors, max_states: int, visit=None):
     them, each once.  A new state beyond max_states is dropped and clears
     `complete`.  visit(state, kept) sees `init` and every new state a move
     reaches, dropped ones included; when it returns true the search stops
-    and the result is None."""
+    and the result is None.  A search with `visit` records no edges: its
+    callers read only what the hook sees and `complete`."""
     if visit is not None and visit(init, True):
         return None
     states = [init]
     index = {init: 0}
     edges: dict = {}
+    keep_edges = visit is None
     complete = True
     i = 0
     while i < len(states):
@@ -334,7 +329,8 @@ def explore(init, successors, max_states: int, visit=None):
                     continue
                 j = index[nxt] = len(states)
                 states.append(nxt)
-            edges[(i, label, j)] = None
+            if keep_edges:
+                edges[(i, label, j)] = None
         i += 1
     return states, list(edges), complete
 
@@ -410,8 +406,4 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
     init = _counted(normalize(program.main, env, strict))
     states, edges, complete = explore(init, successors, budget.max_states)
     return Lts([show(s) for s in states], edges, 0,
-               complete and not engine.truncated, "term")
-
-
-def format_label(label) -> str:
-    return format_sequence(label)
+               complete and not engine.truncated)

@@ -53,7 +53,6 @@ from .terms import (
     Env,
     MccsError,
     NIL,
-    Par,
     Prefix,
     Program,
     Restrict,
@@ -62,6 +61,7 @@ from .terms import (
     Term,
     act_in,
     act_out,
+    par_fold,
 )
 
 __all__ = ["TranslationError", "translate", "is_ccs_net"]
@@ -78,15 +78,6 @@ def _fresh_prefix(base: str, taken) -> str:
     while any(re.fullmatch(re.escape(prefix) + r"[0-9]+", n) for n in taken):
         prefix += base
     return prefix
-
-
-def _par(parts: list) -> Term:
-    if not parts:
-        return NIL
-    t = parts[0]
-    for p in parts[1:]:
-        t = Par(t, p)
-    return t
 
 
 def _sum(parts: list) -> Term:
@@ -114,8 +105,8 @@ def _sources(pre: Counter) -> list:
 def _assemble(net: PTNet, chan: dict, restricted: list, ys, consts,
               name) -> Program:
     def continuation(post: Counter) -> Term:
-        return _par([Const(consts[i])
-                     for i in sorted(post) for _ in range(post[i])])
+        return par_fold([Const(consts[i])
+                         for i in sorted(post) for _ in range(post[i])])
 
     env = Env()
     for i in range(len(net.place_names)):
@@ -151,7 +142,7 @@ def _assemble(net: PTNet, chan: dict, restricted: list, ys, consts,
 
     tokens = [Const(consts[i])
               for i in sorted(net.initial) for _ in range(net.initial[i])]
-    body = _par(tokens)
+    body = par_fold(tokens)
     for nm in reversed(restricted + list(ys)):
         body = Restrict(nm, body)
     return Program(env, body, name)
@@ -209,8 +200,7 @@ def _rebuilds_exactly(net: PTNet, prog: Program) -> bool:
 def translate(net: PTNet, name: str | None = None) -> Program:
     """A finite-net program whose net is isomorphic to `net`, provided the
     net is reduced and its label alphabet is free of complementary pairs."""
-    for k, (pre, label, _) in enumerate(net.transitions):
-        tn = net.trans_names[k]
+    for tn, (pre, label, _) in zip(net.trans_names, net.transitions):
         if len(label) != 1:
             raise TranslationError(
                 "transition %s carries a %d-action label; only single-action"

@@ -45,8 +45,8 @@ from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore, freeze
 from .parser import _Tokens
 from .sync import SyncMode, auto_mode
 from .terms import (
-    Action, Const, Env, GuardednessError, MccsError, Nil, Par, Prefix,
-    Program, Restrict, StrongPrefix, Sum, Term, act_in, act_out,
+    Action, Const, Env, FreshAllocator, GuardednessError, MccsError, Nil,
+    Par, Prefix, Program, Restrict, StrongPrefix, Sum, Term, act_in, act_out,
     format_term, label_key, subst_map, term_key, TAU_ACT,
 )
 
@@ -104,14 +104,12 @@ def antichain(vectors) -> list:
     return keep
 
 
-def format_marking(m: Counter, names=None) -> str:
+def format_marking(m: Counter, names: list) -> str:
+    """A marking over place ids, written with the places' names."""
     if not m:
         return "(empty)"
-    parts = []
-    for s, n in sorted(m.items(), key=lambda kv: kv[0] if names else term_key(kv[0])):
-        label = names[s] if names else format_term(s)
-        parts.append(label if n == 1 else "%s*%s" % ("w" if n == OMEGA else n, label))
-    return " + ".join(parts)
+    return " + ".join(names[s] if n == 1 else "%d*%s" % (n, names[s])
+                      for s, n in sorted(m.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +126,15 @@ class PTNet:
     complete: bool = True
     place_terms: list | None = None   # for built nets: the sequential terms
 
+    def __post_init__(self):
+        # an unnamed net gets t1..tn, in transition order
+        if not self.trans_names:
+            self.trans_names = ["t%d" % (i + 1)
+                                for i in range(len(self.transitions))]
+        elif len(self.trans_names) != len(self.transitions):
+            raise ValueError("%d transition names for %d transitions" % (
+                len(self.trans_names), len(self.transitions)))
+
     def summary(self) -> str:
         return "%d places, %d transitions, %s" % (
             len(self.place_names), len(self.transitions),
@@ -135,18 +142,6 @@ class PTNet:
 
     def labels(self) -> set:
         return {label for _, label, _ in self.transitions}
-
-
-class FreshAllocator:
-    """Deterministic source of restricted names: a#1, b#2, ... in
-    allocation order (the counter is global to one construction)."""
-
-    def __init__(self):
-        self.n = 0
-
-    def fresh(self, base: str) -> str:
-        self.n += 1
-        return "%s#%d" % (base.split("#")[0], self.n)
 
 
 def dec(t: Term, env: Env, alloc: FreshAllocator | None = None,
@@ -197,7 +192,6 @@ class NetBuilder:
         self.budget = budget
         self.alloc = FreshAllocator()
         self._moves: dict = {}
-        self._derived: dict = {}
         self._busy: set = set()
         self.item_cap = max(512, 4 * budget.max_transitions)
         self.truncated_items = False
@@ -247,22 +241,19 @@ class NetBuilder:
 
         With `seeds`, whose join `join` is, the closure of one fixpoint
         round: only the items below some seed, each with the bitmask of the
-        seeds it lies below as a fourth field (see `lts.closure`).  No two
-        rounds have the same seeds, so only calls without seeds are cached:
-        strong-prefix bodies and the omega seeds of `_backward_closure`."""
-        key = freeze(join) if seeds is None else None
-        hit = self._derived.get(key)
-        if hit is None:
-            # place moves allocate restricted names: meet the places seed
-            # by seed, as a closure per seed would, not in `join` order
-            for seed in seeds or ():
-                for p in sorted(seed, key=term_key):
-                    self.place_moves(p)
-            hit = closure(join, self.place_moves, self.mode,
-                          self.budget.max_seq_len, self.item_cap, seeds)
-            if key is not None:
-                self._derived[key] = hit
-        items, truncated = hit
+        seeds it lies below as a fourth field (see `lts.closure`).  Only
+        place moves are memoized (`place_moves`); a closure is not, as no
+        construction asks for one twice: a strong-prefix body is met once,
+        through the memo of its place, no two rounds have the same seeds,
+        and each omega seed of `_backward_closure` outgrows the last."""
+        # place moves allocate restricted names: meet the places seed by
+        # seed, as a closure per seed would, not in `join` order
+        for seed in seeds or ():
+            for p in sorted(seed, key=term_key):
+                self.place_moves(p)
+        items, truncated = closure(join, self.place_moves, self.mode,
+                                   self.budget.max_seq_len, self.item_cap,
+                                   seeds)
         self.truncated_items = self.truncated_items or truncated
         return items
 
@@ -363,7 +354,6 @@ class NetBuilder:
             initial=Counter({place_index[s]: n for s, n in m0.items()
                              if s in place_index}),
             transitions=trans,
-            trans_names=["t%d" % (i + 1) for i in range(len(trans))],
             complete=complete,
             place_terms=list(order),
         )
@@ -566,7 +556,7 @@ def marking_graph(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> Lts:
     keys, edges, complete = _explore(net, budget)
     states = [format_marking({i: n for i, n in enumerate(m) if n},
                              net.place_names) for m in keys]
-    return Lts(states, edges, 0, complete, "marking")
+    return Lts(states, edges, 0, complete)
 
 
 def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
@@ -712,7 +702,7 @@ def format_pnet(net: PTNet) -> str:
     for i, pname in enumerate(net.place_names):
         lines.append("place %s init %d" % (pname, net.initial.get(i, 0)))
     for i, (pre, label, post) in enumerate(net.transitions):
-        tname = net.trans_names[i] if i < len(net.trans_names) else "t%d" % (i + 1)
+        tname = net.trans_names[i]
         lbl = ".".join(str(a) for a in label)
         pres = " ".join("%s:%d" % (net.place_names[s], n)
                         for s, n in sorted(pre.items()))

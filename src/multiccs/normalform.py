@@ -14,12 +14,13 @@ well; all of the above changes the term at most up to strong bisimilarity.
 strict=True keeps dead components and unused restrictions.
 
 Name families (all disjoint from parseable names):
-  "§%d"  unique temporaries of one `NameGen`: while canonicalizing, and
-         the binders of the target terms a `lts.StepEngine` assembles
-         (never in a normal form; substitution alpha-converts any clash
-         between the two),
-  "ν%d"  canonical names bound at the top of a normal form,
-  "β%d"  canonical bound names inside a component.
+  "a#%d"  unique temporaries of one `NameGen`, drawn from the generated
+          family of `terms.FreshAllocator`: while canonicalizing, and the
+          binders of the target terms a `lts.StepEngine` assembles (never
+          in a normal form; substitution alpha-converts any clash between
+          the two),
+  "ν%d"   canonical names bound at the top of a normal form,
+  "β%d"   canonical bound names inside a component.
 
 Binder naming may not depend on the order in which binders are written
 (scope manipulation permutes it), so each region names its binders by
@@ -43,8 +44,9 @@ from dataclasses import dataclass
 from itertools import count
 
 from .terms import (
-    NIL, TAU_ACT, Const, Env, Nil, Par, Prefix, Restrict, StrongPrefix, Sum,
-    Term, act_in, act_out, format_term, free_names, par_fold, substitute,
+    NIL, TAU_ACT, Const, Env, FreshAllocator, Nil, Par, Prefix, Restrict,
+    StrongPrefix, Sum, Term, act_in, act_out, format_term, free_names,
+    par_fold, substitute,
 )
 
 NU = "ν"
@@ -69,20 +71,16 @@ class NormalForm:
         return self.key()
 
 
-class NameGen:
+class NameGen(FreshAllocator):
     """Temporary names, free-name and skeleton memos: one per
     normalization, or one for the lifetime of a `lts.StepEngine`."""
 
     def __init__(self, env: Env, strict: bool):
+        super().__init__()
         self.env = env
         self.strict = strict
-        self.n = 0
         self.memo: dict = {}
         self._fns: dict = {}
-
-    def fresh(self) -> str:
-        self.n += 1
-        return "§%d" % self.n
 
     def fns(self, t: Term) -> tuple:
         """The free names of t, sorted."""
@@ -131,7 +129,7 @@ def split_region(t: Term, gen: NameGen):
             if not gen.strict and u.name not in gen.fns(u.body):
                 walk(u.body)
                 return
-            tmp = gen.fresh()
+            tmp = gen.fresh(u.name)
             binders.append(tmp)
             walk(substitute(u.body, u.name, tmp, gen.env))
         elif isinstance(u, Nil):

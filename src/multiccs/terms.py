@@ -3,8 +3,11 @@
 Terms are immutable and hashable.  A process is a pair (Env, Term): the
 environment maps constant names to defining bodies, the term is the main
 process.  Action names live in two disjoint namespaces: user-written names
-(lowercase identifiers) and internal restricted names, which contain '#'
-and are produced by the net decomposition when a restriction is opened.
+(lowercase identifiers) and generated names, which contain '#' and come
+from one `FreshAllocator`: the net decomposition opens a restriction with
+one (a restricted name), and region splitting in `normalform` renames a
+binder to one (a temporary).  The canonical bound names of normal forms
+form a third family of their own (see `normalform`).
 """
 
 from __future__ import annotations
@@ -402,6 +405,19 @@ def free_names(t: Term, env: Env) -> frozenset:
 # the occurrence's renaming map.  Callers must substitute towards fresh
 # names; clashes with other binders are resolved by alpha-converting the
 # inner binder.
+
+
+class FreshAllocator:
+    """Deterministic source of generated names: a#1, b#2, ... in
+    allocation order, the counter global to one allocator.  A '#' name
+    keeps only the base of the name it replaces, so names never stack."""
+
+    def __init__(self):
+        self.n = 0
+
+    def fresh(self, base: str) -> str:
+        self.n += 1
+        return "%s#%d" % (base.split("#")[0], self.n)
 
 
 def subst_map(t: Term, mapping: dict, env: Env) -> Term:

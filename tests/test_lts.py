@@ -283,10 +283,21 @@ class TestStepAndDeterminism:
         assert shape(lax) == shape(strict) == (2, 1)
 
 
+def test_a_visit_search_keeps_no_edges():
+    def ring(i):
+        return [("a", (i + 1) % 5), ("b", i)]
+
+    seen = []
+    states, edges, complete = lts_module.explore(
+        0, ring, 10, lambda s, kept: seen.append(s))
+    assert states == seen == [0, 1, 2, 3, 4] and complete and edges == []
+    # the same search without a hook keeps all ten edges
+    assert len(lts_module.explore(0, ring, 10)[1]) == 10
+
+
 class TestLtsHelpers:
-    def test_successors_and_labels(self):
+    def test_labels(self):
         l = lts_of("main = a.b.0;")
-        assert l.successors(0) == [((act_in("a"),), 1)]
         assert l.labels() == {(act_in("a"),), (act_in("b"),)}
 
     def test_summary_mentions_truncation(self):

@@ -188,6 +188,26 @@ class TestCcsSubclass:
         assert uses_strong_prefix(translate(load_net("weighted")))
 
 
+class TestDeepAndUnnamed:
+    def test_three_thousand_tokens_round_trip(self):
+        # the tokens of the initial marking compose as a balanced tree, so
+        # neither hashing nor net construction recurses once per token
+        net = PTNet("deep", ["s1"], Counter({0: 3000}),
+                    [(Counter({0: 1}), (act_in("a"),), Counter({0: 1}))],
+                    ["t1"])
+        prog = translate(net)
+        hash(prog.main)
+        rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
+        assert rebuilt.complete and isomorphic(net, rebuilt).found
+        assert rebuilt.initial == Counter({0: 3000})
+
+    def test_an_unnamed_net_translates(self):
+        net = PTNet("n", ["s1"], Counter({0: 1}),
+                    [(Counter({0: 1}), (act_in("a"),), Counter())])
+        rebuilt = build_net(translate(net), mode=SyncMode.FINITE_NET)
+        assert rebuilt.complete and isomorphic(net, rebuilt).found
+
+
 class TestValidation:
     def test_sequence_label_rejected(self):
         net = parse_pnet("net n place s1 init 1 "

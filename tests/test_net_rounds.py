@@ -13,13 +13,13 @@ from collections import Counter
 import pytest
 
 import multiccs.nets
-from multiccs.lts import Budget, closure, freeze
+from multiccs.lts import Budget, closure
 from multiccs.net2term import translate
 from multiccs.nets import (
     OMEGA, NetBuilder, antichain, build_net, firing_rule, format_pnet,
 )
 from multiccs.parser import parse_program
-from multiccs.sync import SyncMode, auto_mode
+from multiccs.sync import SyncMode
 from multiccs.terms import check_wellformed, format_term
 
 from conftest import (
@@ -152,22 +152,20 @@ def test_translated_ring_derives_few_closure_items(monkeypatch):
     assert 0 < len(items) <= 200
 
 
-def spy_round_closures(monkeypatch) -> tuple:
-    """Record the results of `derive_items` calls: round closures in a
-    list, the joins of calls without seeds in a set."""
-    rounds, seedless = [], set()
+def spy_round_closures(monkeypatch) -> list:
+    """Record the results of the round closures, the `derive_items` calls
+    with seeds."""
+    rounds = []
     real = NetBuilder.derive_items
 
     def spy(self, join, seeds=None):
         items = real(self, join, seeds)
-        if seeds is None:
-            seedless.add(freeze(join))
-        else:
+        if seeds is not None:
             rounds.append(items)
         return items
 
     monkeypatch.setattr(NetBuilder, "derive_items", spy)
-    return rounds, seedless
+    return rounds
 
 
 def test_a_round_with_the_last_seeds_ends_the_fixpoint(monkeypatch):
@@ -175,22 +173,10 @@ def test_a_round_with_the_last_seeds_ends_the_fixpoint(monkeypatch):
     # of 8 without changing the maximal markings: a third closure over
     # the same seeds would derive nothing new
     prog = translate(philosophers_ring(8))
-    rounds, _ = spy_round_closures(monkeypatch)
+    rounds = spy_round_closures(monkeypatch)
     net = build_net(prog, SyncMode.FINITE_NET)
     assert net.complete and len(net.transitions) == 16
     assert len(rounds) == 2
-
-
-def test_only_closures_without_seeds_are_cached(monkeypatch):
-    prog = load_program("counter")
-    budget = Budget(max_states=2000, max_places=60, max_transitions=1000)
-    builder = NetBuilder(prog.env, auto_mode(prog), budget)
-    rounds, seedless = spy_round_closures(monkeypatch)
-    net = builder.build(prog.main)
-    assert not net.complete and len(rounds) > 1
-    assert set(builder._derived) == seedless
-    cached = [items for items, _ in builder._derived.values()]
-    assert not any(c is r for c in cached for r in rounds)
 
 
 def test_antichain_keeps_exactly_the_maximal_vectors():

@@ -9,14 +9,14 @@ import multiccs.lts
 import multiccs.nets
 from multiccs.lts import Budget
 from multiccs.nets import (
-    FreshAllocator, NetBuilder, PTNet, build_net, dec, format_marking,
-    format_pnet, is_reduced, is_safe, marking_graph, parse_pnet,
+    NetBuilder, PTNet, build_net, dec, format_marking, format_pnet,
+    is_reduced, is_safe, marking_graph, parse_pnet,
 )
 from multiccs.parser import ParseError, parse_program, parse_term
 from multiccs.sync import SyncMode, sync_outcomes
 from multiccs.terms import (
-    GuardednessError, Par, Restrict, act_in, act_out, classify_finite_net,
-    format_sequence, substitute,
+    FreshAllocator, GuardednessError, Par, Restrict, act_in, act_out,
+    classify_finite_net, format_sequence, substitute,
 )
 
 from conftest import load_net, load_program
@@ -302,6 +302,21 @@ class TestAnalyses:
         prog = load_program("counter")
         net = build_net(prog, budget=Budget(max_states=30))
         assert is_reduced(net, Budget(max_states=5)) in ("unknown", "yes")
+
+
+class TestTransitionNames:
+    def test_an_unnamed_net_numbers_its_transitions(self):
+        net = PTNet("n", ["s1"], Counter({0: 1}),
+                    [(Counter({0: 1}), (act_in("a"),), Counter()),
+                     (Counter({0: 1}), (act_in("b"),), Counter({0: 1}))])
+        assert net.trans_names == ["t1", "t2"]
+        assert "trans t2 label b in s1:1 out s1:1" in format_pnet(net)
+
+    def test_a_name_count_unlike_the_transition_count_is_rejected(self):
+        with pytest.raises(ValueError):
+            PTNet("n", ["s1"], Counter({0: 1}),
+                  [(Counter({0: 1}), (act_in("a"),), Counter())],
+                  ["t1", "t2"])
 
 
 class TestNetFormat:

@@ -310,3 +310,13 @@ def test_symmetric_binders_are_individualized_once_per_orbit(monkeypatch):
                     budget=Budget(max_states=12), strict=True)
     assert len(lts.states) == 12
     assert len(calls) <= 150
+
+
+def test_region_temporaries_are_generated_names(env):
+    # binders are opened with the '#' family of `terms.FreshAllocator`,
+    # which no parsed name can take, and never reach a normal form
+    gen = normalform.NameGen(env, False)
+    binders, _ = normalform.split_region(
+        parse_term("new(a) new(b) (a.~b.0 | ~a.0 | b.K1)"), gen)
+    assert binders == ["a#1", "b#2"]
+    assert "#" not in key_of("new(a) new(b) (a.~b.0 | ~a.0 | b.K1)", env)
