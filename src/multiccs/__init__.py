@@ -9,13 +9,14 @@ from .terms import (
     format_term, free_names, substitute, subst_map, term_key,
     is_sequential, check_wellformed, classify_finite_net,
 )
-from .parser import ParseError, parse_program, parse_term, format_program
+from .parser import (ParseError, parse_program, parse_term, format_program,
+                     parse_sequence, parse_pnet, format_pnet)
 from .sync import SyncMode, sync_outcomes, is_sync
 from .normalform import NormalForm, normalize
 from .lts import Budget, DEFAULT_BUDGET, Lts, StepEngine, step, build_lts
 from .nets import (
-    PTNet, dec, build_net, NetBuilder, marking_graph, parse_pnet, format_pnet,
-    format_marking, marking_key, is_reduced, is_safe, OMEGA,
+    PTNet, dec, build_net, NetBuilder, marking_graph, format_marking,
+    marking_key, is_reduced, is_safe, OMEGA,
 )
 from .net2term import TranslationError, translate, is_ccs_net
 from .equiv import (
@@ -34,6 +35,7 @@ __all__ = [
     "format_term", "free_names", "substitute", "subst_map", "term_key",
     "is_sequential", "check_wellformed", "classify_finite_net",
     "ParseError", "parse_program", "parse_term", "format_program",
+    "parse_sequence",
     "SyncMode", "sync_outcomes", "is_sync",
     "NormalForm", "normalize",
     "Budget", "DEFAULT_BUDGET", "Lts", "StepEngine", "step", "build_lts",

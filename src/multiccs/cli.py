@@ -9,15 +9,16 @@ import sys
 
 from .dot import lts_dot, net_dot
 from .equiv import (IncompleteLtsError, bisimilar, isomorphic, net_bisimilar)
-from .lts import DEFAULT_BUDGET, Budget, build_lts
-from .nets import (build_net, format_marking, format_pnet, is_reduced,
-                   is_safe, marking_graph, parse_pnet)
+from .lts import DEFAULT_BUDGET, Budget, StepEngine, build_lts, step
+from .nets import (PTNet, build_net, format_marking, is_reduced, is_safe,
+                   marking_graph)
 from .net2term import is_ccs_net, translate
-from .parser import ParseError, format_program, parse_program
+from .normalform import normalize
+from .parser import (ParseError, format_pnet, format_program, looks_like_net,
+                     parse_pnet, parse_program, parse_sequence)
 from .sync import SyncMode, auto_mode, sync_outcomes
-from .terms import (MccsError, act_in, act_out, TAU_ACT, check_wellformed,
-                    classify_finite_net, format_sequence, format_term,
-                    label_key)
+from .terms import (MccsError, check_wellformed, classify_finite_net,
+                    format_sequence, format_term, label_key)
 
 OK, EPARSE, EILL, EBUDGET, EPROP = 0, 2, 3, 4, 5
 
@@ -27,21 +28,26 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _write(path, text: str) -> None:
+    """Writes text to the file at path, or to stdout when path is None."""
+    if path is None:
+        print(text, end="")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _stem(path: str) -> str:
     import os.path
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _looks_like_net(text: str) -> bool:
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0] == "net"
-    return False
-
-
-def _load_program(path: str):
-    program = parse_program(_read(path), name=_stem(path))
+def _load(path: str, nets: bool = False):
+    """The well-formed program in a file; with nets, a net file's net."""
+    text = _read(path)
+    if nets and looks_like_net(text):
+        return parse_pnet(text)
+    program = parse_program(text, name=_stem(path))
     report = check_wellformed(program)
     if not report.ok:
         for issue in report.issues:
@@ -108,14 +114,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_lts(args) -> int:
-    program = _load_program(args.file)
+    program = _load(args.file)
     lts = build_lts(program, _mode(args, program), _budget(args), args.strict)
     print("states: %d" % len(lts.states))
     print("transitions: %d" % len(lts.transitions))
     print("complete: %s" % ("yes" if lts.complete else "no"))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(lts_dot(lts, name=args.file))
+        _write(args.dot, lts_dot(lts, name=args.file))
     if not args.quiet:
         for i, key in enumerate(lts.states):
             print("q%d = %s" % (i, key))
@@ -127,11 +132,9 @@ def cmd_lts(args) -> int:
 
 
 def cmd_net(args) -> int:
-    if _looks_like_net(_read(args.file)):
-        net = _load_net(args.file)
-    else:
-        program = _load_program(args.file)
-        net = build_net(program, _mode(args, program), _budget(args))
+    net = _load(args.file, nets=True)
+    if not isinstance(net, PTNet):
+        net = build_net(net, _mode(args, net), _budget(args))
     print("net %s: %s" % (net.name, net.summary()))
     for i, pname in enumerate(net.place_names):
         term = ""
@@ -147,11 +150,9 @@ def cmd_net(args) -> int:
         print("reduced: %s" % is_reduced(net, _budget(args)))
         print("safe: %s" % is_safe(net, _budget(args)))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(net_dot(net))
+        _write(args.dot, net_dot(net))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_pnet(net))
+        _write(args.out, format_pnet(net))
     return OK if net.complete else EBUDGET
 
 
@@ -160,12 +161,17 @@ def cmd_translate(args) -> int:
     program = translate(net)
     text = format_program(program)
     print("ccs-shaped: %s" % ("yes" if is_ccs_net(net) else "no"))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write(args.out, text)
     return OK
+
+
+def _report_iso(n1, n2) -> bool:
+    """Prints whether the nets are isomorphic, and the place map if so."""
+    iso = isomorphic(n1, n2)
+    print("isomorphic: %s" % ("yes" if iso.found else "no"))
+    for old, new in sorted((iso.mapping(n1, n2) or {}).items()):
+        print("  %s -> %s" % (old, new))
+    return iso.found
 
 
 def cmd_roundtrip(args) -> int:
@@ -177,11 +183,7 @@ def cmd_roundtrip(args) -> int:
     if not rebuilt.complete:
         print("rebuilt net is truncated; raise the budget")
         return EBUDGET
-    iso = isomorphic(net, rebuilt)
-    print("isomorphic: %s" % ("yes" if iso.found else "no"))
-    if iso.found:
-        for old, new in sorted(iso.mapping(net, rebuilt).items()):
-            print("  %s -> %s" % (old, new))
+    if _report_iso(net, rebuilt):
         return OK
     print("  (is the input reduced? reduced: %s)" % is_reduced(net))
     return EPROP
@@ -191,7 +193,7 @@ def cmd_bisim(args) -> int:
     if not args.other and not args.against_net:
         print("bisim needs a second file or --against-net", file=sys.stderr)
         return EPARSE
-    program = _load_program(args.file)
+    program = _load(args.file)
     budget = _budget(args)
     mode = _mode(args, program)
     lts1 = build_lts(program, mode, budget, args.strict)
@@ -203,7 +205,7 @@ def cmd_bisim(args) -> int:
         lts2 = marking_graph(net, budget)
         other = "marking graph of its net"
     else:
-        program2 = _load_program(args.other)
+        program2 = _load(args.other)
         lts2 = build_lts(program2, _mode(args, program2), budget, args.strict)
         other = args.other
     res = bisimilar(lts1, lts2)
@@ -217,14 +219,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    n1, n2 = _load_net(args.file), _load_net(args.other)
-    iso = isomorphic(n1, n2)
-    print("isomorphic: %s" % ("yes" if iso.found else "no"))
-    if iso.found:
-        for old, new in sorted(iso.mapping(n1, n2).items()):
-            print("  %s -> %s" % (old, new))
-        return OK
-    return EPROP
+    return OK if _report_iso(_load_net(args.file),
+                             _load_net(args.other)) else EPROP
 
 
 def cmd_netbisim(args) -> int:
@@ -237,23 +233,9 @@ def cmd_netbisim(args) -> int:
     return OK
 
 
-def _parse_seq(text: str):
-    acts = []
-    for word in text.split():
-        if word == "tau":
-            acts.append(TAU_ACT)
-        elif word.startswith("~"):
-            acts.append(act_out(word[1:]))
-        else:
-            acts.append(act_in(word))
-    if not acts:
-        raise ParseError("empty action sequence", 1, 1)
-    return tuple(acts)
-
-
 def cmd_sync(args) -> int:
     mode = SyncMode(args.mode)
-    s1, s2 = _parse_seq(args.left), _parse_seq(args.right)
+    s1, s2 = parse_sequence(args.left), parse_sequence(args.right)
     outcomes = sync_outcomes(s1, s2, mode)
     if not outcomes:
         print("(no synchronization)")
@@ -263,10 +245,7 @@ def cmd_sync(args) -> int:
 
 
 def cmd_step(args) -> int:
-    from .lts import StepEngine, step
-    from .normalform import normalize
-
-    program = _load_program(args.file)
+    program = _load(args.file)
     mode = _mode(args, program)
     engine = StepEngine(program.env, mode, args.max_seq_len, args.strict)
     state = normalize(program.main, program.env, args.strict)
@@ -301,23 +280,17 @@ def cmd_step(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    text = _read(args.file)
-    if _looks_like_net(text):
-        output = net_dot(_load_net(args.file))
+    loaded = _load(args.file, nets=True)
+    if isinstance(loaded, PTNet):
+        output = net_dot(loaded)
+    elif args.net:
+        output = net_dot(build_net(loaded, _mode(args, loaded),
+                                   _budget(args)))
     else:
-        program = _load_program(args.file)
-        if args.net:
-            output = net_dot(build_net(program, _mode(args, program),
-                                       _budget(args)))
-        else:
-            output = lts_dot(build_lts(program, _mode(args, program),
-                                       _budget(args), args.strict),
-                             name=args.file)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    else:
-        print(output, end="")
+        output = lts_dot(build_lts(loaded, _mode(args, loaded),
+                                   _budget(args), args.strict),
+                         name=args.file)
+    _write(args.out, output)
     return OK
 
 
@@ -384,8 +357,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sync", help="synchronization outcomes of two"
                                     " action sequences")
-    p.add_argument("left")
-    p.add_argument("right")
+    p.add_argument("left", help="actions separated by spaces, e.g."
+                                " 'a ~b tau'")
+    p.add_argument("right", help="the other action sequence")
     p.add_argument("--mode", choices=["general", "finite-net"],
                    default="general")
     p.set_defaults(fn=cmd_sync)

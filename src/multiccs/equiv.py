@@ -72,43 +72,67 @@ TRUE = FTrue()
 
 
 def render_formula(f: Formula) -> str:
-    if isinstance(f, FTrue):
-        return "true"
-    if isinstance(f, Diamond):
-        return "<%s>%s" % (format_sequence(f.label), render_formula(f.sub))
-    if isinstance(f, FAnd):
-        if not f.subs:
-            return "true"
-        return "(" + " and ".join(render_formula(s) for s in f.subs) + ")"
-    if isinstance(f, FNot):
-        return "not " + render_formula(f.sub)
-    raise TypeError(f)
+    # off a stack of formulas and literal text, so that the depth of a
+    # formula is no recursion depth
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, (Diamond, FNot)):
+            out.append("not " if isinstance(g, FNot)
+                       else "<%s>" % format_sequence(g.label))
+            stack.append(g.sub)
+        elif isinstance(g, FAnd) and g.subs:
+            out.append("(")
+            stack.append(")")
+            for k in range(len(g.subs) - 1, 0, -1):
+                stack += [g.subs[k], " and "]
+            stack.append(g.subs[0])
+        elif isinstance(g, (FTrue, FAnd)):
+            out.append("true")
+        else:
+            raise TypeError(g)
+    return "".join(out)
 
 
-def _succ_of(lts: Lts, side: int, table):
-    for i, lab, j in lts.transitions:
-        table[(side, i)][lab].add((side, j))
+def _successors(*systems):
+    """(side, state) -> label -> successor nodes, side indexing systems."""
+    succ = defaultdict(lambda: defaultdict(set))
+    for side, lts in enumerate(systems):
+        for i, lab, j in lts.transitions:
+            succ[side, i][lab].add((side, j))
+    return succ
 
 
 def formula_holds(lts: Lts, state: int, f: Formula) -> bool:
     """Model check a formula at a state of one system (used to replay
-    counterexamples independently of the refiner)."""
-    succ = defaultdict(lambda: defaultdict(set))
-    _succ_of(lts, 0, succ)
-    return _holds(succ, (0, state), f)
-
-
-def _holds(succ, node, f) -> bool:
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, Diamond):
-        return any(_holds(succ, m, f.sub)
-                   for m in succ[node].get(f.label, ()))
-    if isinstance(f, FAnd):
-        return all(_holds(succ, node, s) for s in f.subs)
-    if isinstance(f, FNot):
-        return not _holds(succ, node, f.sub)
-    raise TypeError(f)
+    counterexamples independently of the refiner).  Each subformula is
+    decided once per state, after what it needs, off an explicit stack."""
+    succ = _successors(lts)
+    value: dict = {}     # (id of subformula, node) -> truth
+    stack = [(f, (0, state))]
+    while stack:
+        g, node = stack[-1]
+        if isinstance(g, Diamond):
+            kids = [(g.sub, m) for m in succ[node].get(g.label, ())]
+        elif isinstance(g, (FAnd, FNot)):
+            kids = [(sub, node) for sub in
+                    (g.subs if isinstance(g, FAnd) else (g.sub,))]
+        elif isinstance(g, FTrue):
+            kids = []
+        else:
+            raise TypeError(g)
+        todo = [k for k in kids if (id(k[0]), k[1]) not in value]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        truths = [value[id(sub), m] for sub, m in kids]
+        value[id(g), node] = (not truths[0] if isinstance(g, FNot)
+                              else any(truths) if isinstance(g, Diamond)
+                              else all(truths))
+    return value[id(f), (0, state)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +149,17 @@ class BisimResult:
         return None if self.formula is None else render_formula(self.formula)
 
 
-def bisimilar(a: Lts, b: Lts, require_complete: bool = True) -> BisimResult:
+def bisimilar(a: Lts, b: Lts) -> BisimResult:
     """Strong bisimilarity of the initial states of two systems."""
     for tag, l in (("first", a), ("second", b)):
-        if require_complete and not l.complete:
+        if not l.complete:
             raise IncompleteLtsError(
                 "the %s system was truncated by a budget; "
                 "bisimilarity over it would be unsound" % tag)
 
     nodes = ([(0, i) for i in range(len(a.states))]
              + [(1, j) for j in range(len(b.states))])
-    succ = defaultdict(lambda: defaultdict(set))
-    _succ_of(a, 0, succ)
-    _succ_of(b, 1, succ)
+    succ = _successors(a, b)
 
     block = {n: 0 for n in nodes}
     history = [block]
@@ -164,23 +186,36 @@ def bisimilar(a: Lts, b: Lts, require_complete: bool = True) -> BisimResult:
 
 def _distinguish(s, t, history, succ) -> Formula:
     """A formula holding at s and failing at t, for any pair the
-    refinement separated."""
-    k = next(i for i, blk in enumerate(history) if blk[s] != blk[t])
-    prev = history[k - 1]
-
-    def sig(n):
-        return {(lab, prev[m]) for lab, ms in succ[n].items() for m in ms}
-
-    diff = sig(s) - sig(t)
-    if not diff:
-        return FNot(_distinguish(t, s, history, succ))
-    lab, blk = min(diff, key=lambda p: (label_key(p[0]), p[1]))
-    s2 = min(m for m in succ[s][lab] if prev[m] == blk)
-    subs = tuple(_distinguish(s2, t2, history, succ)
-                 for t2 in sorted(succ[t].get(lab, ())))
-    if not subs:
-        return Diamond(lab, TRUE)
-    return Diamond(lab, subs[0] if len(subs) == 1 else FAnd(subs))
+    refinement separated.  Built bottom-up off an explicit stack, one memo
+    entry per pair: a pair first separated in round k needs its swap,
+    separated in round k too, or pairs separated in round k - 1."""
+    plans: dict = {}    # pair -> (label, or None for a negation; sub-pairs)
+    done: dict = {}     # pair -> formula
+    stack = [(s, t)]
+    while stack:
+        pair = u, v = stack[-1]
+        if pair not in plans:
+            k = next(i for i, blk in enumerate(history) if blk[u] != blk[v])
+            prev = history[k - 1]
+            diff = {(lab, prev[m]) for lab, ms in succ[u].items() for m in ms}
+            diff -= {(lab, prev[m]) for lab, ms in succ[v].items() for m in ms}
+            if not diff:
+                plans[pair] = None, [(v, u)]
+            else:
+                lab, blk = min(diff, key=lambda p: (label_key(p[0]), p[1]))
+                u2 = min(m for m in succ[u][lab] if prev[m] == blk)
+                plans[pair] = lab, [(u2, v2)
+                                    for v2 in sorted(succ[v].get(lab, ()))]
+        lab, subs = plans[pair]
+        todo = [p for p in subs if p not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        fs = [done[p] for p in subs]
+        done[pair] = FNot(fs[0]) if lab is None else Diamond(lab, (
+            fs[0] if len(fs) == 1 else FAnd(tuple(fs)) if fs else TRUE))
+    return done[s, t]
 
 
 def is_bisimulation_partition(a: Lts, b: Lts, blocks: dict) -> bool:
@@ -188,22 +223,14 @@ def is_bisimulation_partition(a: Lts, b: Lts, blocks: dict) -> bool:
     bisimulation containing the pair of initial states."""
     if blocks[(0, a.initial)] != blocks[(1, b.initial)]:
         return False
-    succ = defaultdict(lambda: defaultdict(set))
-    _succ_of(a, 0, succ)
-    _succ_of(b, 1, succ)
-    by_block = defaultdict(list)
+    succ = _successors(a, b)
+    # related states must match each other's moves into related states:
+    # all members of a block reach the same (label, block) pairs
+    reach: dict = {}
     for n, bid in blocks.items():
-        by_block[bid].append(n)
-    for members in by_block.values():
-        for n in members:
-            for m in members:
-                if n == m:
-                    continue
-                for lab, targets in succ[n].items():
-                    for n2 in targets:
-                        if not any(blocks[m2] == blocks[n2]
-                                   for m2 in succ[m].get(lab, ())):
-                            return False
+        moves = {(lab, blocks[m]) for lab, ms in succ[n].items() for m in ms}
+        if reach.setdefault(bid, moves) != moves:
+            return False
     return True
 
 

@@ -42,12 +42,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter, le
 
 from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore, freeze
-from .parser import _Tokens
 from .sync import SyncMode, auto_mode
 from .terms import (
-    Action, Const, Env, FreshAllocator, GuardednessError, MccsError, Nil,
-    Par, Prefix, Program, Restrict, StrongPrefix, Sum, Term, act_in, act_out,
-    format_term, label_key, subst_map, term_key, TAU_ACT,
+    Const, Env, FreshAllocator, GuardednessError, MccsError, Nil, Par,
+    Prefix, Program, Restrict, StrongPrefix, Sum, Term, format_term,
+    label_key, subst_map, term_key,
 )
 
 OMEGA = float("inf")
@@ -56,9 +55,9 @@ OMEGA = float("inf")
 # ---------------------------------------------------------------------------
 # markings
 
-def marking_key(m: Counter, keyfn=None):
-    keyfn = keyfn or (lambda x: x)
-    return tuple(sorted(((keyfn(s), n) for s, n in m.items() if n), key=lambda kv: kv[0]))
+def marking_key(m: Counter) -> tuple:
+    """A marking over place ids as sorted (place, count) pairs."""
+    return tuple(sorted((s, n) for s, n in m.items() if n))
 
 
 def firing_rule(pre: Counter, post: Counter) -> tuple:
@@ -139,9 +138,6 @@ class PTNet:
         return "%d places, %d transitions, %s" % (
             len(self.place_names), len(self.transitions),
             "complete" if self.complete else "truncated")
-
-    def labels(self) -> set:
-        return {label for _, label, _ in self.transitions}
 
 
 def dec(t: Term, env: Env, alloc: FreshAllocator | None = None,
@@ -293,7 +289,7 @@ class NetBuilder:
                 return False
             pre = Counter({place_index[s]: n for s, n in used.items()})
             post = Counter({place_index[s]: n for s, n in produced.items()})
-            table[key] = ((marking_key(used, term_key), label_key(label)),
+            table[key] = ((freeze(used), label_key(label)),
                           firing_rule(pre, post), (pre, label, post))
             return True
 
@@ -313,7 +309,7 @@ class NetBuilder:
             seeds = sorted(
                 (Counter({order[i]: c for i, c in enumerate(v) if c})
                  for v in maximal),
-                key=lambda m: marking_key(m, term_key))
+                key=freeze)
             known_places = len(order)
             if seeds == last_seeds:
                 # the last round's seeds derive the last round's items, and
@@ -336,10 +332,12 @@ class NetBuilder:
             if not grew or not complete:
                 break
 
-        if (fits and not complete and len(order) == known_places
+        if (fits and not km_complete and len(order) == known_places
                 and not self.truncated_items):
             # the structure stopped growing before the marking search could
-            # saturate: decide enabledness exactly instead
+            # saturate: decide enabledness exactly instead.  After a cut by
+            # a place or transition cap alone the tree was complete, and
+            # the fallback would meet the item that did not fit again
             fixed = self._backward_closure(m0, transitions, admit, order)
             if fixed is not None:
                 transitions = fixed
@@ -587,127 +585,3 @@ def is_safe(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
     if result is None:
         return "no"
     return "yes" if result[2] else "unknown"
-
-
-# ---------------------------------------------------------------------------
-# text format
-#
-#   net     ::= "net" IDENT { placedecl } { transdecl }
-#   placedecl ::= "place" IDENT "init" NAT
-#   transdecl ::= "trans" IDENT "label" LBL "in" { IDENT ":" NAT }
-#                                       "out" { IDENT ":" NAT }
-#   LBL     ::= act { "." act }         act ::= "tau" | name | "~" name
-#
-# The words net/place/init/trans/label/in/out are reserved. Every
-# transition needs a non-empty preset; weights are positive.
-
-_NET_KEYWORDS = {"net", "place", "init", "trans", "label", "in", "out"}
-
-
-def parse_pnet(text: str) -> PTNet:
-    ts = _Tokens(text)
-    ts.expect("name", "net")
-    kind, value, _, _ = ts.peek()
-    if kind not in ("name", "ucname"):
-        ts.error("expected a net name")
-    name = ts.next()[1]
-    place_names, initial, index = [], Counter(), {}
-    while ts.at_name("place"):
-        ts.next()
-        pname = _net_ident(ts)
-        if pname in index:
-            ts.error("place %s declared twice" % pname)
-        ts.expect("name", "init")
-        tokens = ts.expect("nat")
-        index[pname] = len(place_names)
-        if int(tokens[1]):
-            initial[len(place_names)] = int(tokens[1])
-        place_names.append(pname)
-    transitions, trans_names, seen_triples = [], [], set()
-    while ts.at_name("trans"):
-        ts.next()
-        tname = _net_ident(ts)
-        if tname in trans_names:
-            ts.error("transition %s declared twice" % tname)
-        ts.expect("name", "label")
-        label = [_net_act(ts)]
-        while ts.at_punct("."):
-            ts.next()
-            label.append(_net_act(ts))
-        ts.expect("name", "in")
-        pre = _arc_list(ts, index)
-        ts.expect("name", "out")
-        post = _arc_list(ts, index)
-        if not pre:
-            ts.error("transition %s has an empty preset" % tname)
-        triple = (marking_key(pre), tuple(label), marking_key(post))
-        if triple in seen_triples:
-            ts.error("transition %s duplicates another transition" % tname)
-        seen_triples.add(triple)
-        transitions.append((pre, tuple(label), post))
-        trans_names.append(tname)
-    ts.expect("eof")
-    return PTNet(name, place_names, initial, transitions, trans_names)
-
-
-def _net_ident(ts) -> str:
-    kind, value, _, _ = ts.peek()
-    if kind not in ("name", "ucname") or value in _NET_KEYWORDS:
-        ts.error("expected an identifier")
-    return ts.next()[1]
-
-
-def _net_act(ts) -> Action:
-    if ts.at_punct("~"):
-        ts.next()
-        return act_out(_act_name(ts))
-    kind, value, _, _ = ts.peek()
-    if kind == "name" and value == "tau":
-        ts.next()
-        return TAU_ACT
-    return act_in(_act_name(ts))
-
-
-def _act_name(ts) -> str:
-    kind, value, _, _ = ts.peek()
-    if kind != "name" or value in _NET_KEYWORDS:
-        ts.error("expected an action name")
-    return ts.next()[1]
-
-
-def _arc_list(ts, index) -> Counter:
-    arcs = Counter()
-    while True:
-        kind, value, _, _ = ts.peek()
-        if kind not in ("name", "ucname") or value in _NET_KEYWORDS:
-            return arcs
-        pname = ts.next()[1]
-        if pname not in index:
-            ts.error("unknown place %s" % pname)
-        ts.expect("punct", ":")
-        weight = int(ts.expect("nat")[1])
-        if weight < 1:
-            ts.error("arc weight must be positive")
-        if index[pname] in arcs:
-            ts.error("place %s repeated in arc list" % pname)
-        arcs[index[pname]] = weight
-
-
-def format_pnet(net: PTNet) -> str:
-    # the header must reparse as an identifier whatever the net was named
-    name = "".join(c if c.isalnum() or c == "_" else "_" for c in net.name)
-    if not name or not name[0].isalpha():
-        name = "n_" + name if name else "net1"
-    lines = ["net %s" % name]
-    for i, pname in enumerate(net.place_names):
-        lines.append("place %s init %d" % (pname, net.initial.get(i, 0)))
-    for i, (pre, label, post) in enumerate(net.transitions):
-        tname = net.trans_names[i]
-        lbl = ".".join(str(a) for a in label)
-        pres = " ".join("%s:%d" % (net.place_names[s], n)
-                        for s, n in sorted(pre.items()))
-        posts = " ".join("%s:%d" % (net.place_names[s], n)
-                         for s, n in sorted(post.items()))
-        lines.append("trans %s label %s in %s out%s" %
-                     (tname, lbl, pres, (" " + posts) if posts else ""))
-    return "\n".join(lines) + "\n"

@@ -1,31 +1,48 @@
-"""Text format for Multi-CCS programs.
+"""The tools' text formats, read through one tokenizer and one action
+reader (`_act`): programs, nets, and label sequences as `format_sequence`
+prints them and `multiccs sync` reads them ("a ~b tau").
 
-    program ::= { DEF } "main" "=" term ";"
-    DEF     ::= UCIDENT "=" term ";"
-    term    ::= "new" "(" name { "," name } ")" term | par
-    par     ::= sum { "|" sum }
-    sum     ::= seq { "+" seq }
-    seq     ::= "0" | prefix "." seq | "(" term ")" | UCIDENT
-    prefix  ::= act | "<" act ">"
-    act     ::= "tau" | name | "~" name
+    program   ::= { DEF } "main" "=" term ";"
+    DEF       ::= UCIDENT "=" term ";"
+    term      ::= "new" "(" name { "," name } ")" term | par
+    par       ::= sum { "|" sum }
+    sum       ::= seq { "+" seq }
+    seq       ::= "0" | prefix "." seq | "(" term ")" | UCIDENT
+    prefix    ::= act | "<" act ">"
+    act       ::= "tau" | name | "~" name
+
+    net       ::= "net" IDENT { placedecl } { transdecl }
+    placedecl ::= "place" IDENT "init" NAT
+    transdecl ::= "trans" IDENT "label" label "in" { IDENT ":" NAT }
+                                              "out" { IDENT ":" NAT }
+    label     ::= act { "." act }
+
+    sequence  ::= act { act }
 
 Prefixing binds tighter than +, which binds tighter than |; "new" scopes
 maximally to the right.  Strong prefixes are written in angle brackets,
-outputs with a leading "~".  "#" starts a comment running to end of line.
-Whitespace is insignificant.  The keywords new, main and tau are reserved
-and cannot be used as action names.
+outputs with a leading "~".  A net IDENT is a word other than a net keyword
+(net place init trans label in out).  Every transition needs a non-empty
+preset; weights are positive.  A text whose first word is "net" is a net.
+"#" starts a comment running to end of line; whitespace is insignificant
+but separates the actions of a sequence.  The words in `RESERVED` (new,
+main, tau and the net keywords) are no action name and no restricted
+name, so every program and net the tools write reads back.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 
+from .nets import PTNet, marking_key
 from .terms import (
     NIL, Action, Const, Env, MccsError, Par, Prefix, Program, Restrict,
     StrongPrefix, Sum, Term, TAU_ACT, act_in, act_out, format_term,
 )
 
-KEYWORDS = {"new", "main", "tau"}
+_NET_KEYWORDS = {"net", "place", "init", "trans", "label", "in", "out"}
+RESERVED = {"new", "main", "tau"} | _NET_KEYWORDS
 
 _TOKEN_RE = re.compile(r"""
       (?P<ws>\s+|\#[^\n]*)
@@ -33,41 +50,33 @@ _TOKEN_RE = re.compile(r"""
     | (?P<ucname>[A-Z][A-Za-z0-9_]*)
     | (?P<nat>\d+)
     | (?P<punct>[()|+.~<>=;:,])
+    | (?P<bad>.)
 """, re.VERBOSE)
 
 
 class ParseError(MccsError):
-    def __init__(self, msg, line, col):
-        super().__init__("%d:%d: %s" % (line, col, msg))
-        self.line = line
-        self.col = col
-
-
-def tokenize(text: str):
-    """Yields (kind, value, line, col); kind in name/ucname/nat/punct/eof."""
-    pos, line, bol = 0, 1, 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], line, pos - bol + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            out.append((kind, value, line, pos - bol + 1))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            bol = pos + value.rindex("\n") + 1
-        pos = m.end()
-    out.append(("eof", "", line, len(text) - bol + 1))
-    return out
+    def __init__(self, msg, text, pos):
+        # line and column of offset pos, counted only when an error needs them
+        self.line = text.count("\n", 0, pos) + 1
+        self.col = pos - text.rfind("\n", 0, pos)
+        super().__init__("%d:%d: %s" % (self.line, self.col, msg))
 
 
 class _Tokens:
+    """The tokens of a text, as (kind, value, offset) triples with kind in
+    name/ucname/nat/punct/eof, and a cursor over them."""
+
     def __init__(self, text):
-        self.toks = tokenize(text)
+        self.text = text
+        self.toks = []
         self.i = 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise ParseError("unexpected character %r" % m.group(), text,
+                                 m.start())
+            if m.lastgroup != "ws":
+                self.toks.append((m.lastgroup, m.group(), m.start()))
+        self.toks.append(("eof", "", len(text)))
 
     def peek(self):
         return self.toks[self.i]
@@ -79,23 +88,32 @@ class _Tokens:
         return t
 
     def error(self, msg):
-        _, value, line, col = self.peek()
+        _, value, pos = self.peek()
         shown = value if value else "end of input"
-        raise ParseError("%s (found %r)" % (msg, shown), line, col)
+        raise ParseError("%s (found %r)" % (msg, shown), self.text, pos)
 
     def expect(self, kind, value=None):
-        k, v, _, _ = self.peek()
+        k, v, _ = self.peek()
         if k != kind or (value is not None and v != value):
             self.error("expected %s" % (value if value is not None else kind))
         return self.next()
 
-    def at_punct(self, value):
-        k, v, _, _ = self.peek()
-        return k == "punct" and v == value
+    def at(self, value) -> bool:
+        # a token's text tells its kind
+        return self.toks[self.i][1] == value
 
-    def at_name(self, value=None):
-        k, v, _, _ = self.peek()
-        return k == "name" and (value is None or v == value)
+
+def looks_like_net(text: str) -> bool:
+    """Whether text is a net rather than a program: its first token is the
+    word net, with which no program starts."""
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup != "ws":
+            return m.group() == "net"
+    return False
+
+
+# ---------------------------------------------------------------------------
+# programs
 
 
 def parse_program(text: str, name: str = "main") -> Program:
@@ -125,13 +143,13 @@ def parse_term(text: str, env: Env | None = None) -> Term:
 
 
 def _term(ts) -> Term:
-    if ts.at_name("new"):
+    if ts.at("new"):
         ts.next()
         ts.expect("punct", "(")
-        names = [_restriction_name(ts)]
-        while ts.at_punct(","):
+        names = [_action_name(ts)]
+        while ts.at(","):
             ts.next()
-            names.append(_restriction_name(ts))
+            names.append(_action_name(ts))
         ts.expect("punct", ")")
         body = _term(ts)
         for n in reversed(names):
@@ -140,16 +158,9 @@ def _term(ts) -> Term:
     return _par(ts)
 
 
-def _restriction_name(ts) -> str:
-    k, v, _, _ = ts.peek()
-    if k != "name" or v in KEYWORDS:
-        ts.error("expected a name to restrict")
-    return ts.next()[1]
-
-
 def _par(ts) -> Term:
     t = _sum(ts)
-    while ts.at_punct("|"):
+    while ts.at("|"):
         ts.next()
         t = Par(t, _sum(ts))
     return t
@@ -157,14 +168,14 @@ def _par(ts) -> Term:
 
 def _sum(ts) -> Term:
     t = _seq(ts)
-    while ts.at_punct("+"):
+    while ts.at("+"):
         ts.next()
         t = Sum(t, _seq(ts))
     return t
 
 
 def _seq(ts) -> Term:
-    k, v, _, _ = ts.peek()
+    k, v, _ = ts.peek()
     if k == "nat" and v == "0":
         ts.next()
         return NIL
@@ -189,21 +200,22 @@ def _seq(ts) -> Term:
 
 
 def _act(ts) -> Action:
-    k, v, _, _ = ts.peek()
-    if k == "punct" and v == "~":
+    """The one action reader: of prefixes, net labels and sequences."""
+    if ts.at("~"):
         ts.next()
         return act_out(_action_name(ts))
-    if k == "name":
-        if v == "tau":
-            ts.next()
-            return TAU_ACT
-        return act_in(_action_name(ts))
-    ts.error("expected an action")
+    if ts.at("tau"):
+        ts.next()
+        return TAU_ACT
+    if ts.peek()[0] != "name":
+        ts.error("expected an action")
+    return act_in(_action_name(ts))
 
 
 def _action_name(ts) -> str:
-    k, v, _, _ = ts.peek()
-    if k != "name" or v in KEYWORDS:
+    """An action or restricted name: a lower-case word, not reserved."""
+    k, v, _ = ts.peek()
+    if k != "name" or v in RESERVED:
         ts.error("expected an action name")
     return ts.next()[1]
 
@@ -211,4 +223,114 @@ def _action_name(ts) -> str:
 def format_program(p: Program) -> str:
     lines = ["%s = %s;" % (n, format_term(b)) for n, b in p.env.defs.items()]
     lines.append("main = %s;" % format_term(p.main))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# label sequences
+
+
+def parse_sequence(text: str) -> tuple:
+    """A label sequence in the notation `format_sequence` prints."""
+    ts = _Tokens(text)
+    acts = [_act(ts)]
+    while ts.peek()[0] != "eof":
+        acts.append(_act(ts))
+    return tuple(acts)
+
+
+# ---------------------------------------------------------------------------
+# nets
+
+
+def parse_pnet(text: str) -> PTNet:
+    ts = _Tokens(text)
+    ts.expect("name", "net")
+    kind, value, _ = ts.peek()
+    if kind not in ("name", "ucname"):
+        ts.error("expected a net name")
+    name = ts.next()[1]
+    place_names, initial, index = [], Counter(), {}
+    while ts.at("place"):
+        ts.next()
+        pname = _net_ident(ts)
+        if pname in index:
+            ts.error("place %s declared twice" % pname)
+        ts.expect("name", "init")
+        tokens = ts.expect("nat")
+        index[pname] = len(place_names)
+        if int(tokens[1]):
+            initial[len(place_names)] = int(tokens[1])
+        place_names.append(pname)
+    transitions, trans_names, seen_triples = [], [], set()
+    while ts.at("trans"):
+        ts.next()
+        tname = _net_ident(ts)
+        if tname in trans_names:
+            ts.error("transition %s declared twice" % tname)
+        ts.expect("name", "label")
+        label = [_act(ts)]
+        while ts.at("."):
+            ts.next()
+            label.append(_act(ts))
+        ts.expect("name", "in")
+        pre = _arc_list(ts, index)
+        ts.expect("name", "out")
+        post = _arc_list(ts, index)
+        if not pre:
+            ts.error("transition %s has an empty preset" % tname)
+        triple = (marking_key(pre), tuple(label), marking_key(post))
+        if triple in seen_triples:
+            ts.error("transition %s duplicates another transition" % tname)
+        seen_triples.add(triple)
+        transitions.append((pre, tuple(label), post))
+        trans_names.append(tname)
+    ts.expect("eof")
+    return PTNet(name, place_names, initial, transitions, trans_names)
+
+
+def _at_ident(ts) -> bool:
+    kind, value, _ = ts.peek()
+    return kind in ("name", "ucname") and value not in _NET_KEYWORDS
+
+
+def _net_ident(ts) -> str:
+    if not _at_ident(ts):
+        ts.error("expected an identifier")
+    return ts.next()[1]
+
+
+def _arc_list(ts, index) -> Counter:
+    arcs = Counter()
+    while _at_ident(ts):
+        pname = ts.next()[1]
+        if pname not in index:
+            ts.error("unknown place %s" % pname)
+        ts.expect("punct", ":")
+        weight = int(ts.expect("nat")[1])
+        if weight < 1:
+            ts.error("arc weight must be positive")
+        if index[pname] in arcs:
+            ts.error("place %s repeated in arc list" % pname)
+        arcs[index[pname]] = weight
+    return arcs
+
+
+def format_pnet(net: PTNet) -> str:
+    # the header must reparse as an identifier whatever the net was named
+    name = "".join(c if c.isalnum() or c == "_" else "_" for c in net.name)
+    if not name or not name[0].isalpha():
+        name = "n_" + name if name else "net1"
+    lines = ["net %s" % name]
+    for i, pname in enumerate(net.place_names):
+        lines.append("place %s init %d" % (pname, net.initial.get(i, 0)))
+    for i, (pre, label, post) in enumerate(net.transitions):
+        tname = net.trans_names[i]
+        lbl = ".".join(str(a) for a in label)
+        pres = " ".join("%s:%d" % (net.place_names[s], n)
+                        for s, n in sorted(pre.items()))
+        posts = " ".join("%s:%d" % (net.place_names[s], n)
+                         for s, n in sorted(post.items()))
+        lines.append("trans %s label %s in %s out%s" %
+                     (tname, lbl, pres, (" " + posts) if posts else ""))
     return "\n".join(lines) + "\n"

@@ -10,8 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 from multiccs.lts import Budget, build_lts
-from multiccs.nets import PTNet, build_net, is_reduced, marking_graph, parse_pnet
-from multiccs.parser import parse_program
+from multiccs.nets import PTNet, build_net, is_reduced, marking_graph
+from multiccs.parser import parse_pnet, parse_program
 from multiccs.sync import SyncMode
 from multiccs.terms import (
     Const, Env, NIL, Par, Prefix, Program, Restrict, StrongPrefix, Sum,

@@ -188,6 +188,41 @@ class PerSeedNetBuilder(NetBuilder):
         return list(brute_antichain(order)), complete
 
 
+def karp_miller_tree(net, max_nodes: int):
+    """The maximal (omega-)markings of the classic Karp-Miller tree of a
+    net, or None when the tree grows past max_nodes nodes.
+
+    Nothing is merged across branches: a node is a leaf exactly when an
+    ancestor on its own branch carries the same marking.  A new marking
+    strictly above an ancestor on its branch takes omega wherever it
+    exceeds that ancestor, in one pass over the branch from the root."""
+    n = len(net.place_names)
+    arcs = [([pre.get(i, 0) for i in range(n)],
+             [post.get(i, 0) for i in range(n)])
+            for pre, _, post in net.transitions]
+    root = tuple(net.initial.get(i, 0) for i in range(n))
+    labels = [root]
+    stack = [(root,)]   # the branch from the root to a node
+    while stack:
+        branch = stack.pop()
+        marking = branch[-1]
+        if marking in branch[:-1]:
+            continue
+        for pre, post in arcs:
+            if any(p > m for p, m in zip(pre, marking)):
+                continue
+            nxt = tuple(m - p + q for m, p, q in zip(marking, pre, post))
+            for anc in branch:
+                if anc != nxt and all(a <= x for a, x in zip(anc, nxt)):
+                    nxt = tuple(OMEGA if x > a else x
+                                for a, x in zip(anc, nxt))
+            labels.append(nxt)
+            if len(labels) > max_nodes:
+                return None
+            stack.append(branch + (nxt,))
+    return brute_antichain(labels)
+
+
 def per_seed_build_net(program, mode=None, budget=DEFAULT_BUDGET):
     """`build_net` through `PerSeedNetBuilder`."""
     if mode is None:

@@ -7,7 +7,7 @@ import pytest
 import multiccs.cli
 import multiccs.lts
 from multiccs.cli import main
-from multiccs.nets import parse_pnet
+from multiccs.parser import parse_pnet
 
 from conftest import CORPUS
 
@@ -271,6 +271,18 @@ class TestSyncCommand:
         assert run("sync", "a b", "~a ~b", "--mode", "finite-net") == 0
         finite = capsys.readouterr().out
         assert "tau" in general and "(no synchronization)" in finite
+
+    @pytest.mark.parametrize("left, right", [("~", "a"), ("a.b", "~a"),
+                                             ("", "a"), ("a", "in")])
+    def test_a_malformed_sequence_is_a_parse_error(self, capsys, left,
+                                                   right):
+        assert run("sync", left, right) == 2
+        captured = capsys.readouterr()
+        assert "parse error" in captured.err and captured.out == ""
+
+    def test_help_shows_the_notation(self, capsys):
+        assert run("sync", "--help") == 0
+        assert "'a ~b tau'" in " ".join(capsys.readouterr().out.split())
 
 
 class TestStep:

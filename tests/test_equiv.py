@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 
 from multiccs.equiv import (
-    IncompleteLtsError, bisimilar, formula_holds, is_bisimulation_partition,
-    isomorphic, net_bisimilar, render_formula, verify_isomorphism,
+    TRUE, Diamond, IncompleteLtsError, bisimilar, formula_holds,
+    is_bisimulation_partition, isomorphic, net_bisimilar, render_formula,
+    verify_isomorphism,
 )
 from multiccs.lts import Budget, Lts, build_lts
 from multiccs.nets import PTNet, build_net, marking_graph
@@ -83,15 +84,42 @@ class TestTruncationRefusal:
         with pytest.raises(IncompleteLtsError):
             bisimilar(cut, full)
 
-    def test_explicit_opt_out(self):
-        cut = build_lts(load_program("semicounter"), budget=Budget(max_states=4))
-        res = bisimilar(cut, cut, require_complete=False)
-        assert res.equivalent
-
     def test_net_bisimilar_rejects_truncated_net(self):
         net = build_net(load_program("counter"), budget=Budget(max_states=20))
         with pytest.raises(IncompleteLtsError):
             net_bisimilar(net, net)
+
+
+def chain(n: int) -> Lts:
+    """n states in a row, joined by a-steps."""
+    return Lts([str(i) for i in range(n)],
+               [(i, A, i + 1) for i in range(n - 1)])
+
+
+class TestDeepVerdicts:
+    # formulas as deep as the systems are long; none may exhaust the
+    # interpreter's recursion limit
+
+    def test_chains_of_600_and_599_states(self):
+        long, short = chain(600), chain(599)
+        res = bisimilar(long, short)
+        assert not res.equivalent
+        assert res.counterexample() == "<a>" * 599 + "true"
+        assert formula_holds(long, long.initial, res.formula)
+        assert not formula_holds(short, short.initial, res.formula)
+
+    def test_short_chains_keep_their_formulas(self):
+        assert bisimilar(chain(2), chain(1)).counterexample() == "<a>true"
+        assert bisimilar(chain(4), chain(3)).counterexample() \
+            == "<a><a><a>true"
+
+    def test_a_diamond_formula_5000_deep(self):
+        f = TRUE
+        for _ in range(5000):
+            f = Diamond(A, f)
+        assert render_formula(f) == "<a>" * 5000 + "true"
+        assert formula_holds(chain(5001), 0, f)
+        assert not formula_holds(chain(5000), 0, f)
 
 
 class TestNetBisimilarity:

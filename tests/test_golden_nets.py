@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from multiccs.lts import Budget
-from multiccs.nets import build_net, format_pnet, is_reduced, is_safe, marking_graph
+from multiccs.nets import build_net, is_reduced, is_safe, marking_graph
+from multiccs.parser import format_pnet
 from multiccs.sync import SyncMode
 from multiccs.terms import check_wellformed, format_sequence, format_term
 

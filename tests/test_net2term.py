@@ -8,12 +8,12 @@ import pytest
 
 from multiccs.equiv import isomorphic, verify_isomorphism
 from multiccs.lts import Budget, build_lts
-from multiccs.nets import PTNet, build_net, parse_pnet
+from multiccs.nets import PTNet, build_net
 from multiccs.net2term import (
     TranslationError, _encode, _offers_are_bounded, _rebuilds_exactly,
     is_ccs_net, translate,
 )
-from multiccs.parser import format_program
+from multiccs.parser import format_program, parse_pnet
 from multiccs.sync import SyncMode
 from multiccs.terms import (
     StrongPrefix, act_in, act_out, check_wellformed, classify_finite_net,

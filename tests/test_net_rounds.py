@@ -15,10 +15,8 @@ import pytest
 import multiccs.nets
 from multiccs.lts import Budget, closure
 from multiccs.net2term import translate
-from multiccs.nets import (
-    OMEGA, NetBuilder, antichain, build_net, firing_rule, format_pnet,
-)
-from multiccs.parser import parse_program
+from multiccs.nets import OMEGA, NetBuilder, antichain, build_net, firing_rule
+from multiccs.parser import format_pnet, parse_program
 from multiccs.sync import SyncMode
 from multiccs.terms import check_wellformed, format_term
 
@@ -26,7 +24,9 @@ from conftest import (
     CORPUS, load_program, philosophers_ring, random_finite_net_program,
     random_net, random_reduced_nets,
 )
-from oracles import PerSeedNetBuilder, brute_antichain, per_seed_build_net
+from oracles import (
+    PerSeedNetBuilder, brute_antichain, karp_miller_tree, per_seed_build_net,
+)
 
 BUDGET = Budget(max_states=40, max_places=60, max_transitions=120)
 
@@ -214,3 +214,23 @@ def test_karp_miller_matches_the_dense_oracle(max_states):
     assert omegas > 0
     assert True in flags
     assert False in flags or max_states > 8
+
+
+def test_karp_miller_matches_a_tree_that_merges_nothing():
+    # the library merges equal markings across branches, and so does the
+    # dense oracle above; the classic tree merges nothing
+    builder = NetBuilder(parse_program("main = 0;").env, SyncMode.GENERAL)
+    rng = random.Random(1011)
+    compared = omegas = 0
+    for _ in range(150):
+        net = random_net(rng, ccs_shape=rng.random() < 0.5)
+        want = karp_miller_tree(net, 3000)
+        if want is None:
+            continue
+        vm0 = tuple(net.initial.get(i, 0) for i in range(len(net.place_names)))
+        rules = [firing_rule(pre, post) for pre, _, post in net.transitions]
+        got, complete = builder._coverability(vm0, rules)
+        assert complete and set(got) == want
+        compared += 1
+        omegas += any(OMEGA in v for v in got)
+    assert compared >= 130 and omegas >= 40

@@ -9,10 +9,12 @@ import multiccs.lts
 import multiccs.nets
 from multiccs.lts import Budget
 from multiccs.nets import (
-    NetBuilder, PTNet, build_net, dec, format_marking, format_pnet,
-    is_reduced, is_safe, marking_graph, parse_pnet,
+    NetBuilder, PTNet, build_net, dec, format_marking, is_reduced, is_safe,
+    marking_graph,
 )
-from multiccs.parser import ParseError, parse_program, parse_term
+from multiccs.parser import (
+    ParseError, format_pnet, parse_pnet, parse_program, parse_term,
+)
 from multiccs.sync import SyncMode, sync_outcomes
 from multiccs.terms import (
     FreshAllocator, GuardednessError, Par, Restrict, act_in, act_out,
@@ -243,6 +245,28 @@ class TestBuiltNets:
         assert results == [None]
         assert not net.complete
         assert len(net.transitions) == 6
+
+    def test_no_backward_fallback_after_a_transition_cap_alone(
+            self, monkeypatch):
+        # the Karp-Miller tree of counter is complete here; only the
+        # transition cap cut the build, and the fallback would meet the
+        # transition that did not fit again
+        calls = []
+        real = NetBuilder._backward_closure
+
+        def spy(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(NetBuilder, "_backward_closure", spy)
+        net = build_net(load_program("counter"),
+                        budget=Budget(max_transitions=2))
+        assert calls == [] and not net.complete
+        assert format_pnet(net) == (
+            "net counter\n"
+            "place s1 init 1\nplace s2 init 0\nplace s3 init 0\n"
+            "trans t1 label up in s1:1 out s2:1 s3:1\n"
+            "trans t2 label zero in s1:1 out s1:1\n")
 
     def test_mode_defaults_to_the_fragment_check(self):
         sc = load_program("semicounter")
