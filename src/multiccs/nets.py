@@ -231,9 +231,11 @@ class NetBuilder:
 
     # -- transitions derivable inside a marking ------------------------------
 
-    def derive_items(self, join: Counter, seeds: list | None = None) -> list:
+    def derive_items(self, join: Counter, seeds: list | None = None,
+                     cap: int | None = None) -> list:
         """All (used, label, produced) with used below `join`, including
-        intermediate items whose label mentions restricted actions.
+        intermediate items whose label mentions restricted actions, up to
+        `cap` items (`item_cap` by default).
 
         With `seeds`, whose join `join` is, the closure of one fixpoint
         round: only the items below some seed, each with the bitmask of the
@@ -247,9 +249,9 @@ class NetBuilder:
         for seed in seeds or ():
             for p in sorted(seed, key=term_key):
                 self.place_moves(p)
-        items, truncated = closure(join, self.place_moves, self.mode,
-                                   self.budget.max_seq_len, self.item_cap,
-                                   seeds)
+        items, truncated = closure(
+            join, self.place_moves, self.mode, self.budget.max_seq_len,
+            self.item_cap if cap is None else cap, seeds)
         self.truncated_items = self.truncated_items or truncated
         return items
 
@@ -430,9 +432,13 @@ class NetBuilder:
         known = list(order)
         members = set(known)
         cand: list = []
+        # the state budget stopped the forward search; it bounds the
+        # closure over the omega-seed too, which may otherwise run to the
+        # item cap of the transition budget
+        item_cap = min(self.item_cap, max(512, 4 * self.budget.max_states))
         for _ in range(64):
             seed = Counter({p: OMEGA for p in known})
-            cand = [it for it in self.derive_items(seed)
+            cand = [it for it in self.derive_items(seed, cap=item_cap)
                     if _label_visible(it[1])]
             if self.truncated_items:
                 return None
@@ -538,7 +544,12 @@ def _explore(net: PTNet, budget: Budget, visit=None):
     def successors(m: tuple) -> list:
         out = []
         for (pre, effect), label in rules:
-            if _enabled(pre, m):
+            # `_enabled` inlined: the call, made for every rule at every
+            # marking, costs more than the test
+            for i, c in pre:
+                if m[i] < c:
+                    break
+            else:
                 nxt = list(m)
                 for i, d in effect:
                     nxt[i] += d

@@ -31,6 +31,18 @@ candidate when swapping it with an already tried one maps the region onto
 itself: that swap is an automorphism, so both branches render the same
 skeletons.
 
+A binder's signature is the sorted skeletons of all of the region's
+components, with that binder read as a token of its own.  Only the
+components that mention the binder depend on it, so each region keeps a
+touched index from binder to those components: a refinement round renders
+every component once under the colours, and each signature patches that
+sorted rendering (delete and re-insert) at the binder's own components.
+The signature is still the whole sorted tuple; narrowing it to the
+touched components would reorder colours.  The swap test likewise
+re-renders only the components that mention one of the two binders.
+Opening a region substitutes a run of directly nested restrictions in one
+pass, as `nets.dec` does.
+
 Each region is canonicalized once.  Its skeleton already holds every
 binder's final colour, so `normalize` reads the canonical term off the
 skeleton of the whole term (`_term_of`) rather than renaming and sorting
@@ -40,13 +52,14 @@ one in the package: `equiv` colours net places with it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import count
 
 from .terms import (
     NIL, TAU_ACT, Const, Env, FreshAllocator, Nil, Par, Prefix, Restrict,
     StrongPrefix, Sum, Term, act_in, act_out, format_term, free_names,
-    par_fold, substitute,
+    par_fold, subst_map,
 )
 
 NU = "ν"
@@ -126,12 +139,16 @@ def split_region(t: Term, gen: NameGen):
             walk(u.left)
             walk(u.right)
         elif isinstance(u, Restrict):
-            if not gen.strict and u.name not in gen.fns(u.body):
-                walk(u.body)
-                return
-            tmp = gen.fresh(u.name)
-            binders.append(tmp)
-            walk(substitute(u.body, u.name, tmp, gen.env))
+            # open a run of directly nested binders in one substitution
+            # pass, as `nets.dec` does; a repeated name shadows the outer
+            # binder and ends the run
+            fresh: dict = {}
+            while isinstance(u, Restrict) and u.name not in fresh:
+                if gen.strict or u.name in gen.fns(u.body):
+                    fresh[u.name] = gen.fresh(u.name)
+                    binders.append(fresh[u.name])
+                u = u.body
+            walk(subst_map(u, fresh, gen.env))
         elif isinstance(u, Nil):
             if gen.strict:
                 comps.append(u)
@@ -230,12 +247,35 @@ def _skel_region(t: Term, scope: dict, depth: int, gen: NameGen):
 
 def _assign(binders: list, comps: list, scope: dict, depth: int,
             gen: NameGen) -> dict:
+    # touched[b]: the indices of the components that mention binder b;
+    # no other component's skeleton depends on b's token
+    touched: dict = {b: [] for b in binders}
+    for i, c in enumerate(comps):
+        for n in gen.fns(c):
+            if n in touched:
+                touched[n].append(i)
+
     def signatures(colors):
-        return {b: _sig(b, colors, binders, comps, scope, depth, gen)
-                for b in binders}
+        # a binder's signature is every component rendered with the binder
+        # as ("t",) and the others as their colours, sorted: patch the
+        # all-colours rendering at the components the binder touches
+        tokens = {b: ("v", depth, ("c", colors[b])) for b in binders}
+        trial = {**scope, **tokens}
+        base = [_skel(c, trial, depth + 1, gen) for c in comps]
+        ordered = sorted(base)
+        sigs = {}
+        for b in binders:
+            trial[b] = ("v", depth, ("t",))
+            sig = list(ordered)
+            for i in touched[b]:
+                del sig[bisect_left(sig, base[i])]
+                insort(sig, _skel(comps[i], trial, depth + 1, gen))
+            trial[b] = tokens[b]
+            sigs[b] = tuple(sig)
+        return sigs
 
     colors = _refine({b: 0 for b in binders}, signatures)
-    return _resolve(colors, signatures, binders, comps, scope, depth, gen)
+    return _resolve(colors, signatures, touched, comps, scope, depth, gen)
 
 
 def _render(tokens: dict, comps: list, scope: dict, depth: int,
@@ -244,12 +284,6 @@ def _render(tokens: dict, comps: list, scope: dict, depth: int,
     trial = dict(scope)
     trial.update(tokens)
     return tuple(sorted(_skel(c, trial, depth + 1, gen) for c in comps))
-
-
-def _sig(b: str, colors: dict, binders: list, comps: list, scope: dict,
-         depth: int, gen: NameGen):
-    return _render({b2: ("v", depth, ("t",) if b2 == b else ("c", colors[b2]))
-                    for b2 in binders}, comps, scope, depth, gen)
 
 
 def _refine(colors: dict, signatures) -> dict:
@@ -266,8 +300,12 @@ def _refine(colors: dict, signatures) -> dict:
         colors = new
 
 
-def _resolve(colors: dict, signatures, binders: list, comps: list,
+def _resolve(colors: dict, signatures, touched: dict, comps: list,
              scope: dict, depth: int, gen: NameGen) -> dict:
+    """Individualize the first tied class of binders, keeping the colouring
+    that renders the least skeleton.  touched maps each binder to the
+    indices of the components that mention it."""
+    binders = list(touched)
     classes: dict = {}
     for b in binders:
         classes.setdefault(colors[b], []).append(b)
@@ -276,21 +314,28 @@ def _resolve(colors: dict, signatures, binders: list, comps: list,
         return colors
     # Swapping two binders of one class that maps the components onto
     # themselves is an automorphism fixing the colouring: both branches
-    # render the same keys, so only the first is searched.
-    ids = {b: ("v", depth, ("u", i)) for i, b in enumerate(binders)}
-    plain = _render(ids, comps, scope, depth, gen)
+    # render the same keys, so only the first is searched.  The swap
+    # changes only the components that mention a or b.
+    trial = {**scope}
+    trial.update((b, ("v", depth, ("u", i))) for i, b in enumerate(binders))
+
+    def automorphic(a, b) -> bool:
+        near = set(touched[a]).union(touched[b])
+        plain = sorted(_skel(comps[i], trial, depth + 1, gen) for i in near)
+        trial[a], trial[b] = trial[b], trial[a]
+        swapped = sorted(_skel(comps[i], trial, depth + 1, gen) for i in near)
+        trial[a], trial[b] = trial[b], trial[a]
+        return swapped == plain
+
     fresh = max(colors.values()) + 1
     best = best_key = None
     tried: list = []
     for b in classes[ambiguous[0]]:
-        if any(_render({**ids, a: ids[b], b: ids[a]}, comps, scope, depth,
-                       gen) == plain for a in tried):
+        if any(automorphic(a, b) for a in tried):
             continue
         tried.append(b)
-        trial = dict(colors)
-        trial[b] = fresh
-        cand = _resolve(_refine(trial, signatures), signatures,
-                        binders, comps, scope, depth, gen)
+        cand = _resolve(_refine({**colors, b: fresh}, signatures),
+                        signatures, touched, comps, scope, depth, gen)
         key = _render({b2: ("v", depth, ("c", cand[b2])) for b2 in binders},
                       comps, scope, depth, gen)
         if best_key is None or key < best_key:

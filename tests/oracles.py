@@ -9,9 +9,10 @@ that agreement between the two is meaningful.
 from collections import Counter
 from itertools import permutations
 
-from multiccs.lts import DEFAULT_BUDGET
+from multiccs import normalform
+from multiccs.lts import DEFAULT_BUDGET, Lts
 from multiccs.net2term import _encode, _rebuilds_exactly, _sources
-from multiccs.nets import OMEGA, NetBuilder
+from multiccs.nets import OMEGA, NetBuilder, format_marking
 from multiccs.sync import auto_mode
 from multiccs.terms import TAU_ACT
 
@@ -245,3 +246,76 @@ def rebuild_translate(net, name=None):
     if multi_source(net) and not _rebuilds_exactly(net, prog):
         prog = _encode(net, name, pinned=True)
     return prog
+
+
+def full_render_assign(binders, comps, scope, depth, gen) -> dict:
+    """The binder colouring of one region, every rendering in full: a
+    binder's signature renders every component of the region with that
+    binder as ("t",) and the others as their colours, and the swap test
+    of individualization renders the whole region twice.
+    `normalform._assign` must give the same colouring by re-rendering only
+    the components each binder mentions."""
+    def render(tokens):
+        return normalform._render(tokens, comps, scope, depth, gen)
+
+    def signatures(colors):
+        return {b: render({b2: ("v", depth, ("t",) if b2 == b
+                                else ("c", colors[b2])) for b2 in binders})
+                for b in binders}
+
+    def resolve(colors):
+        classes = {}
+        for b in binders:
+            classes.setdefault(colors[b], []).append(b)
+        ambiguous = [c for c in sorted(classes) if len(classes[c]) > 1]
+        if not ambiguous:
+            return colors
+        ids = {b: ("v", depth, ("u", i)) for i, b in enumerate(binders)}
+        plain = render(ids)
+        fresh = max(colors.values()) + 1
+        best = best_key = None
+        tried = []
+        for b in classes[ambiguous[0]]:
+            if any(render({**ids, a: ids[b], b: ids[a]}) == plain
+                   for a in tried):
+                continue
+            tried.append(b)
+            cand = resolve(normalform._refine({**colors, b: fresh},
+                                              signatures))
+            key = render({b2: ("v", depth, ("c", cand[b2]))
+                          for b2 in binders})
+            if best_key is None or key < best_key:
+                best, best_key = cand, key
+        return best
+
+    return resolve(normalform._refine({b: 0 for b in binders}, signatures))
+
+
+def full_scan_marking_graph(net, budget=DEFAULT_BUDGET) -> Lts:
+    """The marking graph by a plain breadth-first search that tests every
+    transition, in transition order, at every marking."""
+    n = len(net.place_names)
+    start = tuple(net.initial.get(i, 0) for i in range(n))
+    index = {start: 0}
+    frontier = [start]
+    edges = {}
+    complete = True
+    while frontier:
+        later = []
+        for m in frontier:
+            for pre, label, post in net.transitions:
+                if any(m[i] < c for i, c in pre.items()):
+                    continue
+                nxt = tuple(m[i] - pre.get(i, 0) + post.get(i, 0)
+                            for i in range(n))
+                if nxt not in index:
+                    if len(index) >= budget.max_states:
+                        complete = False
+                        continue
+                    index[nxt] = len(index)
+                    later.append(nxt)
+                edges[index[m], label, index[nxt]] = None
+        frontier = later
+    states = [format_marking({i: c for i, c in enumerate(m) if c},
+                             net.place_names) for m in index]
+    return Lts(states, list(edges), 0, complete)

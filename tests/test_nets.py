@@ -1,6 +1,7 @@
 """Net semantics: decomposition, net construction, token game, analyses,
 and the net text format."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -21,7 +22,10 @@ from multiccs.terms import (
     classify_finite_net, format_sequence, substitute,
 )
 
-from conftest import load_net, load_program
+from conftest import (
+    load_net, load_program, philosophers_ring, random_reduced_nets,
+)
+from oracles import full_scan_marking_graph
 
 
 def places(marking, net):
@@ -246,6 +250,18 @@ class TestBuiltNets:
         assert not net.complete
         assert len(net.transitions) == 6
 
+    @pytest.mark.parametrize("max_states", [4, 50])
+    def test_backward_fallback_closure_is_bounded_by_the_state_budget(
+            self, max_states):
+        # complete within 0.005 s at the default budget; under a small
+        # state cap the fallback's closure over the omega-seed used to run
+        # towards the item cap of the transition budget, for minutes
+        prog = parse_program("K1 = b.<~b>.c.K1 + b.b.0; K2 = ~c.<a>.b.0;"
+                             " main = <c>.~c.K2 | a.~b.0 | K2 | ~b.b.0;")
+        assert build_net(prog).complete
+        assert not build_net(prog, budget=Budget(max_states=max_states)
+                             ).complete
+
     def test_no_backward_fallback_after_a_transition_cap_alone(
             self, monkeypatch):
         # the Karp-Miller tree of counter is complete here; only the
@@ -295,6 +311,17 @@ class TestBuiltNets:
 
 
 class TestAnalyses:
+    @pytest.mark.parametrize(
+        "net", [philosophers_ring(n) for n in range(3, 11)]
+        + random_reduced_nets(random.Random(6433), 60),
+        ids=lambda net: net.name)
+    def test_marking_graph_matches_the_full_scan_oracle(self, net):
+        budget = Budget(max_states=500)
+        graph = marking_graph(net, budget)
+        oracle = full_scan_marking_graph(net, budget)
+        assert (graph.states, graph.transitions, graph.complete) == (
+            oracle.states, oracle.transitions, oracle.complete)
+
     def test_is_safe_spots_initial_overload(self):
         assert is_safe(load_net("weighted")) == "no"
 

@@ -2,6 +2,9 @@
 single rewrites with the term equations (parallel re-association, scope
 enlargement, renaming of a bound name)."""
 
+import random
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +15,11 @@ from multiccs.normalform import normalize
 from multiccs.parser import parse_term
 from multiccs.terms import (
     Const, Env, NIL, Par, Prefix, Restrict, StrongPrefix, Sum, TAU_ACT,
-    act_in, act_out, free_names, substitute,
+    act_in, act_out, format_term, free_names, substitute,
 )
 
-from conftest import LINK_KINDS, binder_link, load_net
+from conftest import CORPUS, LINK_KINDS, binder_link, load_net, load_program
+from oracles import full_render_assign
 
 
 @pytest.fixture
@@ -310,6 +314,116 @@ def test_symmetric_binders_are_individualized_once_per_orbit(monkeypatch):
                     budget=Budget(max_states=12), strict=True)
     assert len(lts.states) == 12
     assert len(calls) <= 150
+
+
+@contextmanager
+def _assign_checked_by_oracle():
+    """Check every colouring `normalform._assign` makes against the
+    full-render oracle; yields the binder counts of the checked regions,
+    innermost regions first."""
+    checked = []
+    real = normalform._assign
+
+    def checking(binders, comps, scope, depth, gen):
+        colors = real(binders, comps, scope, depth, gen)
+        assert colors == full_render_assign(binders, comps, scope, depth,
+                                            gen)
+        checked.append(len(binders))
+        return colors
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normalform, "_assign", checking)
+        yield checked
+
+
+@given(_symmetric_regions(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_patched_signatures_match_full_renders_on_symmetric_regions(
+        region, rnd):
+    k, links = region
+    env = _env()
+    variant = parse_term(_region_text(k, links, rnd))
+    for strict in (False, True):
+        with _assign_checked_by_oracle() as checked:
+            normalize(variant, env, strict)
+        assert checked[-1] == k
+
+
+def test_tied_binders_of_two_orbits_are_both_tried():
+    # directed cycles of 3 and 4 binders: refinement ties all seven, but
+    # they form two orbits, so skipping a candidate is sound only within
+    # one orbit
+    links = ([("arc", i, (i + 1) % 3, "x") for i in range(3)]
+             + [("arc", 3 + i, 3 + (i + 1) % 4, "x") for i in range(4)])
+    env = _env()
+    base = normalize(parse_term(_region_text(7, links)), env).key()
+    for seed in range(20):
+        variant = parse_term(_region_text(7, links, random.Random(seed)))
+        with _assign_checked_by_oracle():
+            assert normalize(variant, env).key() == base
+
+
+def _corpus_cases():
+    out = [(p.name, load_program(p.name))
+           for p in sorted(CORPUS.glob("*.mccs")) if p.name != "illegal.mccs"]
+    return out + [(p.name, translate(load_net(p.name)))
+                  for p in sorted(CORPUS.glob("*.pnet"))]
+
+
+@pytest.mark.parametrize("name, prog", _corpus_cases(),
+                         ids=[name for name, _ in _corpus_cases()])
+def test_patched_signatures_match_full_renders_on_corpus_regions(name, prog):
+    for strict in (False, True):
+        budget = Budget(max_states=10 if strict and name.endswith(".pnet")
+                        else 30)
+        with _assign_checked_by_oracle():
+            lts = build_lts(prog, budget=budget, strict=strict)
+        plain = build_lts(prog, budget=budget, strict=strict)
+        assert (lts.states, lts.transitions) == (plain.states,
+                                                 plain.transitions)
+
+
+def test_patched_signatures_match_full_renders_on_strict_phils():
+    prog = translate(load_net("phils"))
+    budget = Budget(max_states=12)
+    with _assign_checked_by_oracle() as checked:
+        lts = build_lts(prog, budget=budget, strict=True)
+    plain = build_lts(prog, budget=budget, strict=True)
+    assert 12 in checked
+    assert (lts.states, lts.transitions) == (plain.states, plain.transitions)
+
+
+def _split(text, env, strict):
+    gen = normalform.NameGen(env, strict)
+    binders, comps = normalform.split_region(parse_term(text), gen)
+    return binders, sorted(format_term(c) for c in comps)
+
+
+@pytest.mark.parametrize("strict, expected", [
+    # the outer a is vacuous: the inner binder takes every occurrence
+    (False, (["a#1"], ["a#1.0", "~a#1.b.0"])),
+    (True, (["a#1", "a#2"], ["a#2.0", "~a#2.b.0"])),
+])
+def test_split_region_opens_a_shadowed_run(env, strict, expected):
+    assert _split("new(a) new(a) (a.0 | ~a.b.0)", env, strict) == expected
+
+
+@pytest.mark.parametrize("strict, expected", [
+    (False, (["a#1", "b#2"], ["a#1.~b#2.0", "b#2.0"])),
+    (True, (["a#1", "x#2", "b#3"], ["a#1.~b#3.0", "b#3.0"])),
+])
+def test_split_region_skips_a_vacuous_binder_inside_a_run(env, strict,
+                                                          expected):
+    assert _split("new(a) new(x) new(b) (a.~b.0 | b.0)", env,
+                  strict) == expected
+
+
+def test_split_region_opens_runs_in_walk_order(env):
+    # a run ends at a parallel composition; the restrictions under it are
+    # opened left to right, after the run above them
+    assert _split("new(a) new(b) ((new(c) a.c.0) | (new(d)(b.~d.0 | ~d.0)))",
+                  env, False) == (["a#1", "b#2", "c#3", "d#4"],
+                                  ["a#1.c#3.0", "b#2.~d#4.0", "~d#4.0"])
 
 
 def test_region_temporaries_are_generated_names(env):
