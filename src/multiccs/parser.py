@@ -134,8 +134,9 @@ def parse_program(text: str, name: str = "main") -> Program:
     return Program(env, main, name)
 
 
-def parse_term(text: str, env: Env | None = None) -> Term:
-    """A bare term, for tests and the REPL; constants resolve in env."""
+def parse_term(text: str) -> Term:
+    """A bare term; its constants stay names until the caller resolves
+    them in an environment of its own."""
     ts = _Tokens(text)
     t = _term(ts)
     ts.expect("eof")

@@ -10,10 +10,11 @@ from collections import Counter
 from itertools import permutations
 
 from multiccs import normalform
+from multiccs.equiv import isomorphic
 from multiccs.lts import DEFAULT_BUDGET, Lts
-from multiccs.net2term import _encode, _rebuilds_exactly, _sources
-from multiccs.nets import OMEGA, NetBuilder, format_marking
-from multiccs.sync import auto_mode
+from multiccs.net2term import _encode, _sources
+from multiccs.nets import OMEGA, NetBuilder, build_net, format_marking
+from multiccs.sync import SyncMode, auto_mode
 from multiccs.terms import TAU_ACT
 
 
@@ -235,6 +236,12 @@ def per_seed_build_net(program, mode=None, budget=DEFAULT_BUDGET):
 def multi_source(net) -> bool:
     """Whether some transition of `net` has two or more offering places."""
     return any(len(_sources(pre)) >= 2 for pre, _, _ in net.transitions)
+
+
+def _rebuilds_exactly(net, prog) -> bool:
+    """Whether the net of `prog` is complete and isomorphic to `net`."""
+    rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
+    return rebuilt.complete and isomorphic(net, rebuilt).found
 
 
 def rebuild_translate(net, name=None):

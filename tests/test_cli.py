@@ -198,6 +198,17 @@ class TestTranslateAndRoundtrip:
                      "trans t1 label a.b in s1:1 out s1:1\n")
         assert run("translate", f) == 3
 
+    def test_complementary_labels_are_refused(self, capsys, tmp_path):
+        # translated, a and ~a would synchronize: the rebuilt net would not
+        # be isomorphic to this reduced one
+        f = tmp_path / "pair.pnet"
+        f.write_text("net n place s1 init 1 place s2 init 1\n"
+                     "trans t1 label a in s1:1 out s1:1\n"
+                     "trans t2 label ~a in s2:1 out s2:1\n")
+        assert run("roundtrip", f) == 3
+        assert "complementary labels a and ~a" in capsys.readouterr().err
+        assert run("translate", f) == 3
+
 
 class TestComparisons:
     def test_bisim_self(self, capsys):

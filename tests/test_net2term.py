@@ -6,12 +6,12 @@ from collections import Counter
 
 import pytest
 
+from multiccs import net2term
 from multiccs.equiv import isomorphic, verify_isomorphism
 from multiccs.lts import Budget, build_lts
 from multiccs.nets import PTNet, build_net
 from multiccs.net2term import (
-    TranslationError, _encode, _offers_are_bounded, _rebuilds_exactly,
-    is_ccs_net, translate,
+    TranslationError, _encode, _offers_are_bounded, is_ccs_net, translate,
 )
 from multiccs.parser import format_program, parse_pnet
 from multiccs.sync import SyncMode
@@ -23,7 +23,7 @@ from multiccs.terms import (
 from conftest import (
     CORPUS, load_net, load_program, philosophers_ring, random_reduced_nets,
 )
-from oracles import multi_source, rebuild_translate
+from oracles import _rebuilds_exactly, multi_source, rebuild_translate
 
 
 PINNED_PHILS = """\
@@ -101,11 +101,11 @@ class TestPinnedTranslations:
         rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
         assert rebuilt.complete and isomorphic(net, rebuilt).found
 
-    def test_uncertified_net_keeps_the_shared_channel(self):
-        # the marking search stops where s2 holds two tokens, although no
-        # collector is left to gather them; the rebuild decides instead
+    def test_late_overfull_place_keeps_the_shared_channel(self):
+        # s2 holds two tokens only after the collector place s1 has
+        # emptied, so no collector is left to gather them
         net = parse_pnet(LATE_NET)
-        assert not _offers_are_bounded(net)
+        assert _offers_are_bounded(net)
         prog = translate(net)
         assert format_program(prog) == SHARED_LATE
         rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
@@ -227,6 +227,14 @@ class TestValidation:
         with pytest.raises(TranslationError):
             translate(net)
 
+    def test_complementary_labels_rejected(self):
+        # tokens offering a and ~a would synchronize into a silent step
+        net = parse_pnet("net n place s1 init 1 place s2 init 1 "
+                         "trans t1 label a in s1:1 out s1:1 "
+                         "trans t2 label ~a in s2:1 out s2:1")
+        with pytest.raises(TranslationError, match="t1 and t2.* a and ~a"):
+            translate(net)
+
     def test_channel_names_avoid_the_net_alphabet(self):
         # a net that already speaks x1/y1 forces longer channel families
         net = parse_pnet("net n place s1 init 1 "
@@ -270,3 +278,26 @@ class TestChannelDecision:
                 shared = _encode(net, net.name, pinned=False)
                 assert _rebuilds_exactly(net, shared), (family, k)
         assert certified and uncertified
+
+    def test_pinned_channels_rebuild_exactly(self):
+        # the pinned encoding answers every search that meets a hazard or
+        # runs out of budget, so it must be exact on every net
+        count = 0
+        for family, make in sorted(NET_FAMILIES.items()):
+            for k, net in enumerate(make()):
+                if multi_source(net):
+                    count += 1
+                    pinned = _encode(net, net.name, pinned=True)
+                    assert _rebuilds_exactly(net, pinned), (family, k)
+        assert count
+
+    def test_a_search_cut_by_the_state_budget_pins(self, monkeypatch):
+        net = philosophers_ring(4)
+        shared = format_program(translate(net))
+        monkeypatch.setattr(net2term, "DEFAULT_BUDGET", Budget(max_states=5))
+        assert not _offers_are_bounded(net)
+        prog = translate(net)
+        assert format_program(prog) == format_program(
+            _encode(net, net.name, pinned=True)) != shared
+        rebuilt = build_net(prog, mode=SyncMode.FINITE_NET)
+        assert rebuilt.complete and isomorphic(net, rebuilt).found
