@@ -61,13 +61,6 @@ DEFAULT_BUDGET = Budget()
 _MAX_ITEMS = 200000
 
 
-def freeze(m: Counter) -> tuple:
-    """A hashable key of a multiset of terms, independent of insertion
-    order."""
-    return tuple(sorted(((term_key(s), s, n) for s, n in m.items() if n),
-                        key=lambda kv: kv[0]))
-
-
 def _acts(label) -> frozenset:
     return frozenset(a.key() for a in label if not a.is_tau)
 
@@ -103,6 +96,10 @@ def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
     queue = deque()
     truncated = False
     covers: dict = {}
+    held: dict = {}     # component -> (count, seed bit) of each seed holding it
+    for i, seed in enumerate(seeds or ()):
+        for s, n in seed.items():
+            held.setdefault(s, []).append((n, 1 << i))
 
     def cover(s, n) -> int:
         """The seeds that hold n copies of s, as a bitmask."""
@@ -110,13 +107,13 @@ def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
             return 1 if bound[s] >= n else 0
         hit = covers.get((s, n))
         if hit is None:
-            hit = covers[s, n] = sum(1 << i for i, m in enumerate(seeds)
-                                     if m.get(s, 0) >= n)
+            hit = covers[s, n] = sum(bit for m, bit in held.get(s, ())
+                                     if m >= n)
         return hit
 
     def add(used, label, produced, below) -> bool:
         """Record an item; False, with the queue cleared, at the cap."""
-        key = (freeze(used), label, freeze(produced))
+        key = (frozenset(used.items()), label, frozenset(produced.items()))
         if key in items:
             return True
         if len(items) >= cap:

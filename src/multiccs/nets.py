@@ -14,17 +14,25 @@ Each round of the fixpoint computes the maximal coverable markings with a
 Karp-Miller tree over the transitions discovered so far, so transitions
 are admitted exactly when their preset is covered by some reachable
 marking, which keeps the net reduced and also handles unbounded nets such
-as the semi-counter.  The round then runs one closure over all of these
-markings (the seeds): two items merge only if the merged preset lies below
-some seed, never merely below the join of the seeds, which would pair
-places that are never marked together.  The items below a seed are exactly
-the closure over that seed alone, in the same order, so the round emits,
-seed by seed in marking order, what one closure per seed would: places
-are numbered and restricted names allocated as in that reading.  The item
-cap (`NetBuilder.item_cap`) bounds the one closure of a round, so a round
-may trip it where no single seed would.  A round whose seeds are those of
-the round before it ends the fixpoint: it would derive the same items,
-and that round admitted them all.
+as the semi-counter.  While the net is bounded, that is, while the last
+round's tree was complete and met no acceleration, the search resumes that
+tree: its markings fire only the transitions admitted since, and the
+markings they reach fire all of them.  It restarts from the initial
+marking when a new marking strictly covers an ancestor on its branch or
+the budget trips, so every round gets the maximal markings of a fresh
+tree.  The round then runs one closure over all of these markings (the
+seeds): two items merge only if the merged preset lies below some seed,
+never merely below the join of the seeds, which would pair places that are
+never marked together.  The items below a seed are exactly the closure
+over that seed alone, in the same order, so the round emits, seed by seed
+in marking order, what one closure per seed would: places are numbered and
+restricted names allocated as in that reading.  The item cap
+(`NetBuilder.item_cap`) bounds the one closure of a round, so a round may
+trip it where no single seed would.  A round whose seeds are those of the
+round before it ends the fixpoint: it would derive the same items, and
+that round admitted them all.  Seeds are compared, and ordered, as sparse
+vectors over place numbers; only the seeds of a round that goes on become
+multisets of terms.
 
 Places are numbered once, when the construction first meets them, and
 each transition is compiled once, when it is admitted, into a
@@ -39,9 +47,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter, le
 
-from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore, freeze
+from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore
 from .sync import SyncMode, auto_mode
 from .terms import (
     Const, Env, FreshAllocator, GuardednessError, MccsError, Nil, Par,
@@ -54,6 +63,13 @@ OMEGA = float("inf")
 
 # ---------------------------------------------------------------------------
 # markings
+
+def freeze(m: Counter) -> tuple:
+    """A hashable key of a multiset of terms, independent of insertion
+    order."""
+    return tuple(sorted(((term_key(s), s, n) for s, n in m.items() if n),
+                        key=lambda kv: kv[0]))
+
 
 def marking_key(m: Counter) -> tuple:
     """A marking over place ids as sorted (place, count) pairs."""
@@ -80,19 +96,31 @@ def _enabled(pre, m) -> bool:
 def antichain(vectors) -> list:
     """The maximal ones among equal-length (omega-)vectors.
 
-    Vectors are taken most omegas first, then largest finite sum first, so
-    a vector can only be covered by one taken before it.  A vector is
-    kept unless some kept vector covers it, found through per-place
-    bitmasks of the kept vectors holding each value there."""
-    ranked = sorted(vectors, key=lambda v: (
-        -sum(1 for x in v if x == OMEGA), -sum(x for x in v if x != OMEGA)))
+    Vectors are ranked most omegas first, then largest finite sum first,
+    so a vector can only be covered by one of an earlier rank.  A vector
+    is kept unless some kept vector of an earlier rank covers it, found
+    through per-place bitmasks of the kept vectors holding each value
+    there."""
+    ranked = sorted(
+        (((-v.count(OMEGA), -sum(x for x in v if x != OMEGA)) if OMEGA in v
+          else (0, -sum(v)), v) for v in dict.fromkeys(vectors)),
+        key=itemgetter(0))
     keep: list = []
-    held: list = [{} for _ in ranked[0]] if ranked else []
-    for v in ranked:
-        above = (1 << len(keep)) - 1
+    held: list = [{} for _ in ranked[0][1]] if ranked else []
+    last = None
+    for rank, v in ranked:
+        if rank != last:
+            last, earlier = rank, (1 << len(keep)) - 1
+        above = earlier
         for i, x in enumerate(v):
-            if x and above:
-                above &= sum(mask for y, mask in held[i].items() if y >= x)
+            if not above:
+                break
+            if x:
+                cover = 0
+                for y, mask in held[i].items():
+                    if y >= x:
+                        cover |= mask
+                above &= cover
         if above:
             continue
         bit = 1 << len(keep)
@@ -191,6 +219,8 @@ class NetBuilder:
         self._busy: set = set()
         self.item_cap = max(512, 4 * budget.max_transitions)
         self.truncated_items = False
+        # the last Karp-Miller tree, while a later search may resume it
+        self._tree = None
 
     # -- moves of a single place (labels may contain restricted actions) ----
 
@@ -242,25 +272,33 @@ class NetBuilder:
         seeds it lies below as a fourth field (see `lts.closure`).  Only
         place moves are memoized (`place_moves`); a closure is not, as no
         construction asks for one twice: a strong-prefix body is met once,
-        through the memo of its place, no two rounds have the same seeds,
-        and each omega seed of `_backward_closure` outgrows the last."""
-        # place moves allocate restricted names: meet the places seed by
-        # seed, as a closure per seed would, not in `join` order
+        through the memo of its place, no two rounds have the same seeds
+        (whether their tree was resumed or restarted, `build` stops at the
+        first repeat), and each omega seed of `_backward_closure` outgrows
+        the last.
+
+        Place moves allocate restricted names, so the places not memoized
+        yet are met seed by seed, each seed's in `term_key` order, as one
+        closure per seed would meet them; a memoized place allocates
+        nothing, and a seed holding no unmet place is skipped."""
+        unmet = {p for p in join if p not in self._moves}
         for seed in seeds or ():
-            for p in sorted(seed, key=term_key):
+            if not unmet:
+                break
+            here = [p for p in seed if p in unmet]
+            for p in sorted(here, key=term_key):
                 self.place_moves(p)
+            unmet.difference_update(here)
         items, truncated = closure(
             join, self.place_moves, self.mode, self.budget.max_seq_len,
             self.item_cap if cap is None else cap, seeds)
         self.truncated_items = self.truncated_items or truncated
         return items
 
-    def _round_items(self, seeds: list) -> list:
-        """The visible items of one fixpoint round: for each seed in turn,
-        the items below it in closure order, each at its first seed only."""
-        join = Counter()
-        for seed in seeds:
-            join |= seed
+    def _round_items(self, seeds: list, join: Counter) -> list:
+        """The visible items of one fixpoint round, whose seeds have the
+        join `join`: for each seed in turn, the items below it in closure
+        order, each at its first seed only."""
         visible = [item for item in self.derive_items(join, seeds)
                    if _label_visible(item[1])]
         # the lowest bit of an item's mask is the first seed it lies below
@@ -308,18 +346,27 @@ class NetBuilder:
             maximal, km_complete = self._coverability(
                 tuple(m0[p] for p in order), [rule for _, rule, _ in ranked])
             complete = complete and km_complete
-            seeds = sorted(
-                (Counter({order[i]: c for i, c in enumerate(v) if c})
-                 for v in maximal),
-                key=freeze)
+            # the seeds as sparse place-id vectors, compared as a set
+            seeds = frozenset(tuple(compress(enumerate(v), v))
+                              for v in maximal)
             known_places = len(order)
             if seeds == last_seeds:
                 # the last round's seeds derive the last round's items, and
                 # a round only ends without a cut when it admitted them all
                 break
             last_seeds = seeds
+            # ranking the places by `term_key` orders the seeds as `freeze`
+            # orders their multisets of terms
+            rank = {i: r for r, i in enumerate(sorted(
+                range(len(order)), key=lambda i: term_key(order[i])))}
+            ordered = sorted(seeds, key=lambda seed: sorted(
+                (rank[i], c) for i, c in seed))
+            top = [max(counts) for counts in zip(*maximal)]
             grew = False
-            for used, label, produced in self._round_items(seeds):
+            for used, label, produced in self._round_items(
+                    [Counter({order[i]: c for i, c in seed})
+                     for seed in ordered],
+                    Counter({order[i]: c for i, c in enumerate(top) if c})):
                 key = (freeze(used), label, freeze(produced))
                 if key in transitions:
                     continue
@@ -362,8 +409,28 @@ class NetBuilder:
         """Karp-Miller over place ids: the maximal (omega-)vectors coverable
         from vm0 under the firing rules, and whether the tree stayed within
         budget.  The rules' order is the tree's depth-first order, which
-        decides what a budget cut keeps."""
+        decides what a budget cut keeps.
+
+        The search resumes the last tree when that tree was complete and
+        exact (no acceleration fired) over some rules, all of which are
+        among these, from vm0 less the places registered since.  Its
+        nodes, padded with zeros for the new places, fire only the new
+        rules, and the nodes they reach fire all of them.  A new marking
+        that strictly covers an ancestor on its branch (the net is
+        unbounded under the new rules), or a seen set past `max_states`,
+        drops the resumed tree, and the search restarts from vm0.  A
+        resumed search that completes has reached exactly the markings
+        reachable from vm0, finitely many, so the net is bounded: a tree
+        from vm0 would never accelerate and would reach the same markings.
+        """
         n = len(vm0)
+        fired = set(rules)
+        last, self._tree = self._tree, None
+        if last is not None:
+            old_vm0, old_rules, old_nodes, old_maximal = last
+            pad = (0,) * (n - len(old_vm0))
+            if vm0 != old_vm0 + pad or not old_rules <= fired:
+                last = None
         # Nodes with equal (omega-)markings are merged globally, not only
         # along the current branch: the first occurrence explores every
         # continuation, and a pump loop that would have accelerated against
@@ -374,47 +441,82 @@ class NetBuilder:
         # reachability search.
         # A node is (marking, support, parent): the support bitmask of the
         # marked places rules out most ancestors without a full comparison.
-        complete = True
-        seen = {vm0}
-        order = [vm0]
-        stack = [(vm0, sum(1 << i for i, x in enumerate(vm0) if x), None)]
-        while stack:
-            if len(seen) > self.budget.max_states:
-                complete = False
+        # The stack holds each node with the rules it has yet to fire.
+        while True:
+            if last is None:
+                nodes = [(vm0, sum(1 << i for i, x in enumerate(vm0) if x),
+                          None)]
+                stack = [(nodes[0], rules)]
+                maximal = []
+                start = 0
+            else:
+                # parents come before their children in discovery order
+                padded: dict = {}
+                for marking, marked, parent in old_nodes:
+                    padded[marking] = (marking + pad, marked,
+                                       parent and padded[parent[0]])
+                nodes = list(padded.values())
+                new_rules = [rule for rule in rules if rule not in old_rules]
+                stack = [(node, new_rules) for node in nodes]
+                maximal = [v + pad for v in old_maximal]
+                start = len(nodes)
+            seen = {node[0] for node in nodes}
+            complete = exact = True
+            while stack:
+                if len(seen) > self.budget.max_states:
+                    complete = False
+                    break
+                node, fire = stack.pop()
+                marking, marked, _ = node
+                for pre, delta in fire:
+                    if not _enabled(pre, marking):
+                        continue
+                    nxt = list(marking)
+                    nmarked = marked
+                    for i, d in delta:
+                        nxt[i] += d
+                        if nxt[i]:
+                            nmarked |= 1 << i
+                        else:
+                            nmarked &= ~(1 << i)
+                    if last is not None and tuple(nxt) in seen:
+                        continue
+                    # accelerate to a fixpoint against every ancestor
+                    changed = True
+                    while changed:
+                        changed = False
+                        anc = node
+                        while anc is not None:
+                            a = anc[0]
+                            if not anc[1] & ~nmarked and all(map(le, a, nxt)):
+                                for i in range(n):
+                                    if nxt[i] > a[i] and nxt[i] != OMEGA:
+                                        nxt[i] = OMEGA
+                                        changed = True
+                                        exact = False
+                            anc = anc[2]
+                    if not exact and last is not None:
+                        # a new marking strictly above an ancestor: the net
+                        # is unbounded under the new rules
+                        stack.clear()
+                        break
+                    nxt = tuple(nxt)
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    child = (nxt, nmarked, node)
+                    nodes.append(child)
+                    stack.append((child, rules))
+            if last is None or complete and exact:
                 break
-            node = stack.pop()
-            marking, marked, _ = node
-            for pre, delta in rules:
-                if not _enabled(pre, marking):
-                    continue
-                nxt = list(marking)
-                nmarked = marked
-                for i, d in delta:
-                    nxt[i] += d
-                    if nxt[i]:
-                        nmarked |= 1 << i
-                    else:
-                        nmarked &= ~(1 << i)
-                # accelerate to a fixpoint against every ancestor
-                changed = True
-                while changed:
-                    changed = False
-                    anc = node
-                    while anc is not None:
-                        a = anc[0]
-                        if not anc[1] & ~nmarked and all(map(le, a, nxt)):
-                            for i in range(n):
-                                if nxt[i] > a[i] and nxt[i] != OMEGA:
-                                    nxt[i] = OMEGA
-                                    changed = True
-                        anc = anc[2]
-                nxt = tuple(nxt)
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                order.append(nxt)
-                stack.append((nxt, nmarked, node))
-        return antichain(order), complete
+            last = None
+        if len(nodes) > start:
+            maximal = antichain(maximal + [node[0] for node in nodes[start:]])
+        # a tree over no rules is not kept: resuming its one node would
+        # fire every rule, as a fresh tree does, and restart if that pumps
+        if complete and exact and rules:
+            self._tree = (vm0, fired, nodes, maximal)
+        return maximal, complete
 
     def _backward_closure(self, m0: Counter, transitions: dict, admit,
                           order: list):

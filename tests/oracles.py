@@ -135,7 +135,7 @@ class PerSeedNetBuilder(NetBuilder):
     over a dense Karp-Miller tree whose maximal markings come from a
     pairwise scan."""
 
-    def _round_items(self, seeds):
+    def _round_items(self, seeds, join):
         out = []
         for seed in seeds:
             for used, label, produced in self.derive_items(seed):

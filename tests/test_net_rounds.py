@@ -4,11 +4,13 @@
 seed must be exactly the closure over that seed alone, so that the round
 closure of `NetBuilder.build` emits what one closure per maximal marking
 would.  `oracles.per_seed_build_net` is that per-seed loop, over a dense
-Karp-Miller tree with a pairwise antichain.
+Karp-Miller tree with a pairwise antichain, built afresh in every round;
+the library resumes the last round's tree while the net stays bounded.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -119,13 +121,17 @@ def differential_cases() -> list:
 @pytest.mark.parametrize("mode", [None, SyncMode.GENERAL],
                          ids=["auto", "general"])
 def test_round_closure_matches_per_seed_closures(mode):
-    for name, prog in differential_cases():
-        got = build_net(prog, mode, BUDGET)
-        want = per_seed_build_net(prog, mode, BUDGET)
-        assert net_record(got) == net_record(want), name
+    # the oracle builds a fresh tree every round; a tree counts its initial
+    # marking against max_states, so 0 cuts every tree at once
+    for max_states in (BUDGET.max_states, 0, 1, 3):
+        budget = replace(BUDGET, max_states=max_states)
+        for name, prog in differential_cases():
+            got = build_net(prog, mode, budget)
+            want = per_seed_build_net(prog, mode, budget)
+            assert net_record(got) == net_record(want), (name, max_states)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 12])
 def test_translated_ring_matches_per_seed_closures(n):
     prog = translate(philosophers_ring(n))
     got = build_net(prog, SyncMode.FINITE_NET)
@@ -177,6 +183,94 @@ def test_a_round_with_the_last_seeds_ends_the_fixpoint(monkeypatch):
     net = build_net(prog, SyncMode.FINITE_NET)
     assert net.complete and len(net.transitions) == 16
     assert len(rounds) == 2
+
+
+def test_a_translated_ring_resumes_its_tree(monkeypatch):
+    # the first round has no transition to fire; the second builds the
+    # tree over the 47 reachable markings of a translated ring of 8, and
+    # the third resumes it, firing only the transitions the second admitted
+    enabled_tests = []
+    real_enabled = multiccs.nets._enabled
+
+    def counting(pre, m):
+        enabled_tests.append(None)
+        return real_enabled(pre, m)
+
+    calls = []
+    real = NetBuilder._coverability
+
+    def spy(self, vm0, rules):
+        resumable = self._tree is not None
+        tests = len(enabled_tests)
+        result = real(self, vm0, rules)
+        calls.append((len(rules), resumable, self._tree is not None,
+                      len(enabled_tests) - tests))
+        return result
+
+    monkeypatch.setattr(multiccs.nets, "_enabled", counting)
+    monkeypatch.setattr(NetBuilder, "_coverability", spy)
+    net = build_net(translate(philosophers_ring(8)), SyncMode.FINITE_NET)
+    assert net.complete and len(net.transitions) == 16
+    # (rules, resumable, kept, enabledness tests): the full tree tests its
+    # 8 rules at each marking, the resumed one only the 8 new rules there
+    assert calls == [(0, False, False, 0), (8, False, True, 8 * 47),
+                     (16, True, True, 8 * 47)]
+
+
+def batched_rounds(net, rng) -> list:
+    """The (vm0, rules) of each round when the transitions of net are
+    admitted in random batches, as `NetBuilder.build` admits them: places
+    are numbered as they are first met, those of the initial marking
+    first, and each round's rules are in one fixed order."""
+    ids: dict = {}
+
+    def number(places):
+        for s in sorted(places):
+            ids.setdefault(s, len(ids))
+
+    number(net.initial)
+    pending = list(net.transitions)
+    rng.shuffle(pending)
+    rules: list = []
+    rounds = []
+    while True:
+        vm0 = tuple(net.initial.get(s, 0) for s in sorted(ids, key=ids.get))
+        rounds.append((vm0, sorted(rules)))
+        if not pending:
+            return rounds
+        k = rng.randint(1, len(pending))
+        for pre, _, post in pending[:k]:
+            number(list(pre) + list(post))
+            rules.append(firing_rule(
+                Counter({ids[s]: c for s, c in pre.items()}),
+                Counter({ids[s]: c for s, c in post.items()})))
+        del pending[:k]
+
+
+@pytest.mark.parametrize("max_states", [3, 8, 400])
+def test_a_resumed_tree_matches_a_fresh_one(max_states):
+    env = parse_program("main = 0;").env
+    budget = Budget(max_states=max_states)
+    rng = random.Random(6433)
+    paths = set()
+    for _ in range(150):
+        net = random_net(rng, ccs_shape=rng.random() < 0.5)
+        resumed = NetBuilder(env, SyncMode.GENERAL, budget)
+        for vm0, rules in batched_rounds(net, rng):
+            resumable = resumed._tree is not None
+            got, complete = resumed._coverability(vm0, rules)
+            want, want_complete = NetBuilder(
+                env, SyncMode.GENERAL, budget)._coverability(vm0, rules)
+            assert len(got) == len(set(got))
+            assert set(got) == set(want)
+            assert complete == want_complete
+            if resumable:
+                # a resumed search that completes keeps its tree; one that
+                # restarts gets a tree that accelerated or was cut, and
+                # keeps none
+                paths.add("resumed" if resumed._tree is not None
+                          else "restarted")
+    assert paths == {"resumed", "restarted"}
 
 
 def test_antichain_keeps_exactly_the_maximal_vectors():
