@@ -43,6 +43,15 @@ re-renders only the components that mention one of the two binders.
 Opening a region substitutes a run of directly nested restrictions in one
 pass, as `nets.dec` does.
 
+Refinement and individualization stop where nothing can change.  A
+binder that no component mentions (only strict mode keeps one) is inert:
+all inert binders share one signature, so they never split from one
+another.  Refinement returns once every class is a singleton or inert
+only, without the round that would confirm the fixpoint, so
+individualizing an inert binder costs no round; and a level of the
+search that tries one candidate does not render it.  The colours, and
+so the keys, are those of the unpruned search.
+
 Each region is canonicalized once.  Its skeleton already holds every
 binder's final colour, so `normalize` reads the canonical term off the
 skeleton of the whole term (`_term_of`) rather than renaming and sorting
@@ -274,8 +283,14 @@ def _assign(binders: list, comps: list, scope: dict, depth: int,
             sigs[b] = tuple(sig)
         return sigs
 
-    colors = _refine({b: 0 for b in binders}, signatures)
-    return _resolve(colors, signatures, touched, comps, scope, depth, gen)
+    # binders no component mentions: refinement never splits them
+    inert = {b for b in binders if not touched[b]}
+
+    def refine(colors):
+        return _refine(colors, signatures, inert)
+
+    return _resolve(refine({b: 0 for b in binders}), refine, touched, comps,
+                    scope, depth, gen)
 
 
 def _render(tokens: dict, comps: list, scope: dict, depth: int,
@@ -286,11 +301,15 @@ def _render(tokens: dict, comps: list, scope: dict, depth: int,
     return tuple(sorted(_skel(c, trial, depth + 1, gen) for c in comps))
 
 
-def _refine(colors: dict, signatures) -> dict:
+def _refine(colors: dict, signatures, inert=frozenset()) -> dict:
     """Iterated signature refinement, shared with `equiv`: rank every
     member by (colour, signature) in sorted order until the ranks repeat.
-    signatures(colors) gives every member's signature under colors."""
-    while True:
+    signatures(colors) gives every member's signature under colors.
+    inert members all have one signature under any colours.  Once the
+    colours are dense ranks and every class is a singleton or inert only,
+    the next round would rank every member by its colour alone, so the
+    loop returns without that confirming round."""
+    while not _settled(colors, inert):
         sigs = signatures(colors)
         ordered = sorted({(colors[m], sigs[m]) for m in colors})
         rank = {cs: i for i, cs in enumerate(ordered)}
@@ -298,13 +317,29 @@ def _refine(colors: dict, signatures) -> dict:
         if new == colors:
             return colors
         colors = new
+    return colors
 
 
-def _resolve(colors: dict, signatures, touched: dict, comps: list,
+def _settled(colors: dict, inert) -> bool:
+    """Whether colors are the ranks 0..n-1 and every class of two or more
+    members holds inert members only."""
+    only_inert: dict = {}
+    for m, c in colors.items():
+        if c in only_inert:
+            if not (only_inert[c] and m in inert):
+                return False
+        else:
+            only_inert[c] = m in inert
+    return only_inert.keys() == set(range(len(only_inert)))
+
+
+def _resolve(colors: dict, refine, touched: dict, comps: list,
              scope: dict, depth: int, gen: NameGen) -> dict:
     """Individualize the first tied class of binders, keeping the colouring
-    that renders the least skeleton.  touched maps each binder to the
-    indices of the components that mention it."""
+    that renders the least skeleton.  refine refines a colouring; touched
+    maps each binder to the indices of the components that mention it.
+    A level that tries one candidate only returns its colouring without
+    rendering it."""
     binders = list(touched)
     classes: dict = {}
     for b in binders:
@@ -327,17 +362,15 @@ def _resolve(colors: dict, signatures, touched: dict, comps: list,
         trial[a], trial[b] = trial[b], trial[a]
         return swapped == plain
 
-    fresh = max(colors.values()) + 1
-    best = best_key = None
     tried: list = []
     for b in classes[ambiguous[0]]:
-        if any(automorphic(a, b) for a in tried):
-            continue
-        tried.append(b)
-        cand = _resolve(_refine({**colors, b: fresh}, signatures),
-                        signatures, touched, comps, scope, depth, gen)
-        key = _render({b2: ("v", depth, ("c", cand[b2])) for b2 in binders},
-                      comps, scope, depth, gen)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+        if not any(automorphic(a, b) for a in tried):
+            tried.append(b)
+    fresh = max(colors.values()) + 1
+    cands = [_resolve(refine({**colors, b: fresh}), refine, touched, comps,
+                      scope, depth, gen) for b in tried]
+    if len(cands) == 1:
+        return cands[0]
+    return min(cands, key=lambda cand: _render(
+        {b: ("v", depth, ("c", cand[b])) for b in binders},
+        comps, scope, depth, gen))

@@ -261,7 +261,9 @@ def full_render_assign(binders, comps, scope, depth, gen) -> dict:
     binder as ("t",) and the others as their colours, and the swap test
     of individualization renders the whole region twice.
     `normalform._assign` must give the same colouring by re-rendering only
-    the components each binder mentions."""
+    the components each binder mentions.  The oracle refines with its own
+    loop, which confirms every fixpoint with one more round, so a wrong
+    early stop in `normalform._refine` shows as a difference."""
     def render(tokens):
         return normalform._render(tokens, comps, scope, depth, gen)
 
@@ -287,15 +289,24 @@ def full_render_assign(binders, comps, scope, depth, gen) -> dict:
                    for a in tried):
                 continue
             tried.append(b)
-            cand = resolve(normalform._refine({**colors, b: fresh},
-                                              signatures))
+            cand = resolve(refine({**colors, b: fresh}))
             key = render({b2: ("v", depth, ("c", cand[b2]))
                           for b2 in binders})
             if best_key is None or key < best_key:
                 best, best_key = cand, key
         return best
 
-    return resolve(normalform._refine({b: 0 for b in binders}, signatures))
+    def refine(colors):
+        # rank by (colour, signature) until a round changes no rank
+        while True:
+            sigs = signatures(colors)
+            pairs = sorted(set((colors[b], sigs[b]) for b in binders))
+            new = {b: pairs.index((colors[b], sigs[b])) for b in binders}
+            if new == colors:
+                return colors
+            colors = new
+
+    return resolve(refine({b: 0 for b in binders}))
 
 
 def full_scan_marking_graph(net, budget=DEFAULT_BUDGET) -> Lts:

@@ -229,16 +229,19 @@ def test_strict_refines_lax(t):
 #
 # The strategy above draws binders from a, b, c only, so it almost never
 # builds a class of three or more binders that refinement cannot split.
-# These regions have 3-6 binders and are built to be symmetric.
+# These regions have 3-6 binders and are built to be symmetric, and up
+# to three more binders that no component mentions: strict mode keeps
+# these inert binders, and refinement never splits them.
 
 _POOL = ["n%d" % i for i in range(12)]
 
 
 @st.composite
 def _symmetric_regions(draw):
-    """(binder count, links (kind, i, j, label) over binder indices): each
-    drawn pattern is applied at every binder, so most regions have large
-    tied classes, and a few stray links break some of the symmetry."""
+    """(binder count, links (kind, i, j, label) over binder indices, inert
+    binder count): each drawn pattern is applied at every binder, so most
+    regions have large tied classes, and a few stray links break some of
+    the symmetry."""
     k = draw(st.integers(3, 6))
     links = []
     for _ in range(draw(st.integers(1, 3))):
@@ -257,7 +260,7 @@ def _symmetric_regions(draw):
         links.append((draw(st.sampled_from(LINK_KINDS)),
                       draw(st.integers(0, k - 1)),
                       draw(st.integers(0, k - 1)), "x"))
-    return k, links
+    return k, links, draw(st.integers(0, 3))
 
 
 def _fold(parts, rnd):
@@ -267,21 +270,23 @@ def _fold(parts, rnd):
     return "(%s | %s)" % (_fold(parts[:cut], rnd), _fold(parts[cut:], rnd))
 
 
-def _region_text(k, links, rnd=None):
+def _region_text(k, links, rnd=None, inert=0):
     """The region in plain form, or, given rnd, with the bound names
     renamed, the declarations permuted and split into nested restrictions,
-    and the components shuffled and re-associated."""
-    names = ["v%d" % i for i in range(k)] if rnd is None else \
-        rnd.sample(_POOL, k)
+    and the components shuffled and re-associated.  The last `inert` of
+    the region's k + inert binders occur in no link."""
+    n = k + inert
+    names = ["v%d" % i for i in range(n)] if rnd is None else \
+        rnd.sample(_POOL, n)
     comps = [binder_link(kind, names[i], names[j], label)
              for kind, i, j, label in links]
     if rnd is None:
         return "new(%s)(%s)" % (", ".join(names), " | ".join(comps))
     rnd.shuffle(comps)
     body = _fold(comps, rnd)
-    decl = rnd.sample(names, k)
-    cut = rnd.randint(1, k)
-    if cut < k:
+    decl = rnd.sample(names, n)
+    cut = rnd.randint(1, n)
+    if cut < n:
         body = "new(%s)(%s)" % (", ".join(decl[cut:]), body)
     return "new(%s)(%s)" % (", ".join(decl[:cut]), body)
 
@@ -289,13 +294,17 @@ def _region_text(k, links, rnd=None):
 @given(_symmetric_regions(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_symmetric_region_keys_ignore_presentation(region, rnd):
-    k, links = region
+    # the variant also permutes the inert binders among the others
+    k, links, inert = region
     env = _env()
-    base = parse_term(_region_text(k, links))
-    variant = parse_term(_region_text(k, links, rnd))
+    base = parse_term(_region_text(k, links, inert=inert))
+    variant = parse_term(_region_text(k, links, rnd, inert))
     for strict in (False, True):
         assert (normalize(variant, env, strict).key()
                 == normalize(base, env, strict).key())
+    # lax mode drops the inert binders
+    assert (normalize(base, env).key()
+            == normalize(parse_term(_region_text(k, links)), env).key())
 
 
 def test_symmetric_binders_are_individualized_once_per_orbit(monkeypatch):
@@ -316,11 +325,37 @@ def test_symmetric_binders_are_individualized_once_per_orbit(monkeypatch):
     assert len(calls) <= 150
 
 
+def test_strict_phils_regions_take_one_signature_round(monkeypatch):
+    # each 12-binder region ties only binders that no component mentions
+    # after its first round, so refinement stops there, and individualizing
+    # those binders takes no round; a loop that confirms every fixpoint
+    # makes five rounds per region here
+    rounds, regions = [], []
+    real_refine, real_assign = normalform._refine, normalform._assign
+
+    def refine(colors, signatures, *rest):
+        def counted(c):
+            rounds.append(None)
+            return signatures(c)
+        return real_refine(colors, counted, *rest)
+
+    def assign(binders, *rest):
+        regions.append(len(binders))
+        return real_assign(binders, *rest)
+
+    monkeypatch.setattr(normalform, "_refine", refine)
+    monkeypatch.setattr(normalform, "_assign", assign)
+    lts = build_lts(translate(load_net("phils")),
+                    budget=Budget(max_states=12), strict=True)
+    assert len(lts.states) == 12
+    assert regions and len(rounds) == len(regions)
+
+
 @contextmanager
 def _assign_checked_by_oracle():
     """Check every colouring `normalform._assign` makes against the
-    full-render oracle; yields the binder counts of the checked regions,
-    innermost regions first."""
+    full-render oracle; yields the binder counts of the checked regions in
+    the order their colourings were made."""
     checked = []
     real = normalform._assign
 
@@ -340,13 +375,15 @@ def _assign_checked_by_oracle():
 @settings(max_examples=60, deadline=None)
 def test_patched_signatures_match_full_renders_on_symmetric_regions(
         region, rnd):
-    k, links = region
+    k, links, inert = region
     env = _env()
-    variant = parse_term(_region_text(k, links, rnd))
+    variant = parse_term(_region_text(k, links, rnd, inert))
     for strict in (False, True):
         with _assign_checked_by_oracle() as checked:
             normalize(variant, env, strict)
-        assert checked[-1] == k
+        # a region that settles without a signature round renders its
+        # components, and so colours its inner regions, after its own
+        assert (k + inert if strict else k) in checked
 
 
 def test_tied_binders_of_two_orbits_are_both_tried():
