@@ -312,22 +312,31 @@ def isomorphic(n1: PTNet, n2: PTNet) -> IsoResult:
     used: set = set()
     perm: dict = {}
 
-    def assign(i) -> bool:
-        if i == len(order):
-            return _canon_transitions(n1, perm) == target
-        s = order[i]
-        for t in candidates[s]:
-            if t in used:
+    def assign() -> bool:
+        # depth first over order, off a stack of the candidates each
+        # assigned place has left, so the net's size is no recursion depth
+        left = [iter(candidates[order[0]])] if order else []
+        while left:
+            i = len(left) - 1
+            s = order[i]
+            if s in perm:
+                used.discard(perm.pop(s))
+            for t in left[i]:
+                if t not in used:
+                    break
+            else:
+                left.pop()
                 continue
             perm[s] = t
             used.add(t)
-            if assign(i + 1):
+            if i + 1 < len(order):
+                left.append(iter(candidates[order[i + 1]]))
+            elif _canon_transitions(n1, perm) == target:
                 return True
-            used.discard(t)
-            del perm[s]
-        return False
+        # with no places, the empty map is the one candidate
+        return not order and _canon_transitions(n1, perm) == target
 
-    if assign(0):
+    if assign():
         return IsoResult(True, [perm[s] for s in range(len(n1.place_names))])
     return IsoResult(False, None)
 

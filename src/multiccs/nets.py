@@ -5,10 +5,10 @@ initial marking); the places and transitions of its net are produced by a
 least fixpoint that alternates coverability analysis with transition
 derivation.  Transition derivation runs the pairwise closure `lts.closure`
 of the transition-system semantics over the places of a marking.  There,
-restricted names (the '#' name family, substituted for restriction
-binders during decomposition) take the place of bound names: moves
-labeled with restricted actions may take part in synchronizations but
-never surface as net transitions.
+restricted names (the '#' name family, which `dec` substitutes for
+restriction binders on its `terms.region` walk) take the place of bound
+names: moves labeled with restricted actions may take part in
+synchronizations but never surface as net transitions.
 
 Each round of the fixpoint computes the maximal coverable markings with a
 Karp-Miller tree over the transitions discovered so far, so transitions
@@ -53,9 +53,9 @@ from operator import itemgetter, le
 from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore
 from .sync import SyncMode, auto_mode
 from .terms import (
-    Const, Env, FreshAllocator, GuardednessError, MccsError, Nil, Par,
-    Prefix, Program, Restrict, StrongPrefix, Sum, Term, format_term,
-    label_key, subst_map, term_key,
+    Const, Env, FreshAllocator, GuardednessError, MccsError, Nil, Prefix,
+    Program, StrongPrefix, Sum, Term, format_term, label_key, region,
+    term_key,
 )
 
 OMEGA = float("inf")
@@ -63,13 +63,6 @@ OMEGA = float("inf")
 
 # ---------------------------------------------------------------------------
 # markings
-
-def freeze(m: Counter) -> tuple:
-    """A hashable key of a multiset of terms, independent of insertion
-    order."""
-    return tuple(sorted(((term_key(s), s, n) for s, n in m.items() if n),
-                        key=lambda kv: kv[0]))
-
 
 def marking_key(m: Counter) -> tuple:
     """A marking over place ids as sorted (place, count) pairs."""
@@ -168,39 +161,30 @@ class PTNet:
             "complete" if self.complete else "truncated")
 
 
-def dec(t: Term, env: Env, alloc: FreshAllocator | None = None,
-        _busy: set | None = None) -> Counter:
+def dec(t: Term, env: Env, alloc: FreshAllocator | None = None) -> Counter:
     """Decomposition of a term into a marking of sequential places.
 
     0 vanishes, parallel composition is multiset union, a restriction is
-    opened by substituting a fresh restricted name, constants unfold."""
+    opened by substituting a fresh restricted name (`terms.region` walks
+    both), constants unfold."""
     alloc = alloc or FreshAllocator()
-    busy = _busy if _busy is not None else set()
-    if isinstance(t, Nil):
-        return Counter()
-    if isinstance(t, (Prefix, StrongPrefix, Sum)):
-        return Counter({t: 1})
-    if isinstance(t, Par):
-        out = dec(t.left, env, alloc, busy)
-        out.update(dec(t.right, env, alloc, busy))
-        return out
-    if isinstance(t, Restrict):
-        # open a run of directly nested binders in one substitution pass; a
-        # repeated name shadows the outer binder and ends the run
-        fresh: dict = {}
-        while isinstance(t, Restrict) and t.name not in fresh:
-            fresh[t.name] = alloc.fresh(t.name)
-            t = t.body
-        return dec(subst_map(t, fresh, env), env, alloc, busy)
-    if isinstance(t, Const):
-        if t in busy:
-            raise GuardednessError("unguarded constant %s in decomposition" % t.display_name())
-        busy.add(t)
-        try:
-            return dec(env.body_of(t), env, alloc, busy)
-        finally:
-            busy.discard(t)
-    raise MccsError("cannot decompose %r" % (t,))
+    fresh = lambda name, body: alloc.fresh(name)
+    out: Counter = Counter()
+    # each walk with the constants unfolded on the way to it
+    walks = [(region(t, env, fresh), frozenset())]
+    while walks:
+        walk, path = walks[-1]
+        u = next(walk, None)
+        if u is None:
+            walks.pop()
+        elif isinstance(u, Const):
+            if u in path:
+                raise GuardednessError(
+                    "unguarded constant %s in decomposition" % u.display_name())
+            walks.append((region(env.body_of(u), env, fresh), path | {u}))
+        elif not isinstance(u, Nil):
+            out[u] += 1
+    return out
 
 
 def _label_visible(label) -> bool:
@@ -247,13 +231,13 @@ class NetBuilder:
             for used, label, produced in self.derive_items(marking):
                 rest = marking - used
                 rest.update(produced)
-                out[((p.action,) + label, freeze(rest))] = rest
+                out[((p.action,) + label, frozenset(rest.items()))] = rest
             return tuple((label, rest) for (label, _), rest in out.items())
         if isinstance(p, Sum):
             merged = {}
             for side in (p.left, p.right):
                 for label, produced in self.place_moves(side):
-                    merged[(label, freeze(produced))] = produced
+                    merged[(label, frozenset(produced.items()))] = produced
             return tuple((label, produced) for (label, _), produced in merged.items())
         if isinstance(p, Nil):
             return ()
@@ -323,14 +307,13 @@ class NetBuilder:
 
         def admit(table: dict, key, used, label, produced) -> bool:
             """Register a transition's places and store it in table over
-            place ids, as (Karp-Miller sort key, firing rule, (pre, label,
-            post)); False if a place does not fit."""
+            place ids, as (firing rule, (pre, label, post)); False if a
+            place does not fit."""
             if not all(register(p) for p in list(used) + list(produced)):
                 return False
             pre = Counter({place_index[s]: n for s, n in used.items()})
             post = Counter({place_index[s]: n for s, n in produced.items()})
-            table[key] = ((freeze(used), label_key(label)),
-                          firing_rule(pre, post), (pre, label, post))
+            table[key] = (firing_rule(pre, post), (pre, label, post))
             return True
 
         # register every initial place that fits; if one does not, the net
@@ -342,9 +325,18 @@ class NetBuilder:
         last_seeds = None
 
         while fits:
-            ranked = sorted(transitions.values(), key=itemgetter(0))
+            # ranking the places by `term_key` orders the rules' presets and
+            # the seeds as `term_key` orders their multisets of terms
+            rank = {i: r for r, i in enumerate(sorted(
+                range(len(order)), key=lambda i: term_key(order[i])))}
+
+            def by_rank(pairs) -> list:
+                return sorted((rank[i], c) for i, c in pairs)
+
+            ranked = sorted(transitions.values(), key=lambda entry: (
+                by_rank(entry[0][0]), label_key(entry[1][1])))
             maximal, km_complete = self._coverability(
-                tuple(m0[p] for p in order), [rule for _, rule, _ in ranked])
+                tuple(m0[p] for p in order), [rule for rule, _ in ranked])
             complete = complete and km_complete
             # the seeds as sparse place-id vectors, compared as a set
             seeds = frozenset(tuple(compress(enumerate(v), v))
@@ -355,19 +347,15 @@ class NetBuilder:
                 # a round only ends without a cut when it admitted them all
                 break
             last_seeds = seeds
-            # ranking the places by `term_key` orders the seeds as `freeze`
-            # orders their multisets of terms
-            rank = {i: r for r, i in enumerate(sorted(
-                range(len(order)), key=lambda i: term_key(order[i])))}
-            ordered = sorted(seeds, key=lambda seed: sorted(
-                (rank[i], c) for i, c in seed))
+            ordered = sorted(seeds, key=by_rank)
             top = [max(counts) for counts in zip(*maximal)]
             grew = False
             for used, label, produced in self._round_items(
                     [Counter({order[i]: c for i, c in seed})
                      for seed in ordered],
                     Counter({order[i]: c for i, c in enumerate(top) if c})):
-                key = (freeze(used), label, freeze(produced))
+                key = (frozenset(used.items()), label,
+                       frozenset(produced.items()))
                 if key in transitions:
                     continue
                 if len(transitions) >= self.budget.max_transitions:
@@ -392,7 +380,7 @@ class NetBuilder:
                 transitions = fixed
                 complete = True
 
-        trans = sorted((t for _, _, t in transitions.values()),
+        trans = sorted((t for _, t in transitions.values()),
                        key=lambda t: (marking_key(t[0]), label_key(t[1]),
                                       marking_key(t[2])))
         return PTNet(
@@ -602,7 +590,8 @@ class NetBuilder:
                 if verdict is None:
                     return None
                 if verdict:
-                    key = (freeze(used), label, freeze(produced))
+                    key = (frozenset(used.items()), label,
+                           frozenset(produced.items()))
                     kept[key] = (used, label, produced)
                     hit = True
                 else:

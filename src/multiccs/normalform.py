@@ -40,17 +40,17 @@ sorted rendering (delete and re-insert) at the binder's own components.
 The signature is still the whole sorted tuple; narrowing it to the
 touched components would reorder colours.  The swap test likewise
 re-renders only the components that mention one of the two binders.
-Opening a region substitutes a run of directly nested restrictions in one
-pass, as `nets.dec` does.
+A region is opened by `terms.region`, the walk `nets.dec` takes too.
 
 Refinement and individualization stop where nothing can change.  A
 binder that no component mentions (only strict mode keeps one) is inert:
 all inert binders share one signature, so they never split from one
 another.  Refinement returns once every class is a singleton or inert
-only, without the round that would confirm the fixpoint, so
-individualizing an inert binder costs no round; and a level of the
-search that tries one candidate does not render it.  The colours, and
-so the keys, are those of the unpruned search.
+only, without the round that would confirm the fixpoint.  A tied class
+of inert binders takes fresh colours in class order in one level, as
+one level per binder would give them; and a level of the search that
+tries one candidate does not render it.  The colours, and so the keys,
+are those of the unpruned search.
 
 Each region is canonicalized once.  Its skeleton already holds every
 binder's final colour, so `normalize` reads the canonical term off the
@@ -66,9 +66,9 @@ from dataclasses import dataclass
 from itertools import count
 
 from .terms import (
-    NIL, TAU_ACT, Const, Env, FreshAllocator, Nil, Par, Prefix, Restrict,
+    NIL, TAU_ACT, Const, Env, FreshAllocator, Nil, Prefix, Restrict,
     StrongPrefix, Sum, Term, act_in, act_out, format_term, free_names,
-    par_fold, subst_map,
+    par_fold, region,
 )
 
 NU = "ν"
@@ -137,34 +137,16 @@ def component_order(c: Term, env: Env, strict: bool = False):
 
 
 def split_region(t: Term, gen: NameGen):
-    """The binders and components of the region t: restrictions are opened
-    with fresh temporaries, parallel compositions flattened, and (unless
-    gen.strict) 0 components and unused restrictions dropped."""
+    """The binders and components of the region t, walked by
+    `terms.region`: restrictions are opened with fresh temporaries,
+    parallel compositions flattened, and (unless gen.strict) 0 components
+    and unused restrictions dropped."""
+    def fresh(name, body):
+        return gen.fresh(name) if gen.strict or name in gen.fns(body) else None
+
     binders: list = []
-    comps: list = []
-
-    def walk(u: Term):
-        if isinstance(u, Par):
-            walk(u.left)
-            walk(u.right)
-        elif isinstance(u, Restrict):
-            # open a run of directly nested binders in one substitution
-            # pass, as `nets.dec` does; a repeated name shadows the outer
-            # binder and ends the run
-            fresh: dict = {}
-            while isinstance(u, Restrict) and u.name not in fresh:
-                if gen.strict or u.name in gen.fns(u.body):
-                    fresh[u.name] = gen.fresh(u.name)
-                    binders.append(fresh[u.name])
-                u = u.body
-            walk(subst_map(u, fresh, gen.env))
-        elif isinstance(u, Nil):
-            if gen.strict:
-                comps.append(u)
-        else:
-            comps.append(u)
-
-    walk(t)
+    comps = [u for u in region(t, gen.env, fresh, binders)
+             if gen.strict or not isinstance(u, Nil)]
     return binders, comps
 
 
@@ -347,6 +329,15 @@ def _resolve(colors: dict, refine, touched: dict, comps: list,
     ambiguous = [c for c in sorted(classes) if len(classes[c]) > 1]
     if not ambiguous:
         return colors
+    first = classes[ambiguous[0]]
+    fresh = max(colors.values()) + 1
+    if not any(touched[b] for b in first):
+        # any two inert binders swap automorphically, so each level would
+        # try only its first member, at the next fresh colour
+        colors = dict(colors)
+        colors.update((b, fresh + i) for i, b in enumerate(first[:-1]))
+        return _resolve(refine(colors), refine, touched, comps, scope, depth,
+                        gen)
     # Swapping two binders of one class that maps the components onto
     # themselves is an automorphism fixing the colouring: both branches
     # render the same keys, so only the first is searched.  The swap
@@ -363,10 +354,9 @@ def _resolve(colors: dict, refine, touched: dict, comps: list,
         return swapped == plain
 
     tried: list = []
-    for b in classes[ambiguous[0]]:
+    for b in first:
         if not any(automorphic(a, b) for a in tried):
             tried.append(b)
-    fresh = max(colors.values()) + 1
     cands = [_resolve(refine({**colors, b: fresh}), refine, touched, comps,
                       scope, depth, gen) for b in tried]
     if len(cands) == 1:

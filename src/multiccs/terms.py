@@ -6,8 +6,8 @@ process.  Action names live in two disjoint namespaces: user-written names
 (lowercase identifiers) and generated names, which contain '#' and come
 from one `FreshAllocator`: the net decomposition opens a restriction with
 one (a restricted name), and region splitting in `normalform` renames a
-binder to one (a temporary).  The canonical bound names of normal forms
-form a third family of their own (see `normalform`).
+binder to one (a temporary), both through one walk, `region`.  The
+canonical bound names of normal forms form a third family of their own.
 """
 
 from __future__ import annotations
@@ -238,12 +238,15 @@ def is_sequential(t: Term) -> bool:
 
 
 def iter_subterms(t: Term):
-    yield t
-    if isinstance(t, (Prefix, StrongPrefix, Restrict)):
-        yield from iter_subterms(t.body)
-    elif isinstance(t, (Sum, Par)):
-        yield from iter_subterms(t.left)
-        yield from iter_subterms(t.right)
+    """Every subterm of t in pre-order, a left operand before its right."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, (Prefix, StrongPrefix, Restrict)):
+            stack.append(t.body)
+        elif isinstance(t, (Sum, Par)):
+            stack += (t.right, t.left)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +483,33 @@ def _fresh_binder(base: str, body: Term, m: dict, env: Env) -> str:
     return "%s_%d" % (base, i)
 
 
+def region(t: Term, env: Env, fresh, binders: list | None = None):
+    """The components of the region t, depth first from the left: the
+    subterms reached through parallel compositions and restrictions that
+    are neither.  fresh(name, body) gives a binder's new name, or None to
+    drop the binder unrenamed; binders collects the new names.  A run of
+    directly nested binders opens in one substitution pass (a repeated
+    name ends the run) when the walk reaches it, so names drawn in fresh
+    follow the order the components are consumed in."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Par):
+            stack += (u.right, u.left)
+        elif isinstance(u, Restrict):
+            opened: dict = {}
+            while isinstance(u, Restrict) and u.name not in opened:
+                new = fresh(u.name, u.body)
+                if new is not None:
+                    opened[u.name] = new
+                    if binders is not None:
+                        binders.append(new)
+                u = u.body
+            stack.append(subst_map(u, opened, env))
+        else:
+            yield u
+
+
 # ---------------------------------------------------------------------------
 # programs and well-formedness
 
@@ -538,26 +568,24 @@ def check_wellformed(program: Program) -> WfReport:
                             "sum-operand", where,
                             "%s operand of + is not sequential: %s" % (side, format_term(operand))))
         if need_guard:
-            _check_guards(body, False, where, issues)
+            _check_guards(body, where, issues)
     return WfReport(issues)
 
 
-def _check_guards(t: Term, guarded: bool, where: str, issues: list):
-    if isinstance(t, Const):
-        if not guarded:
-            issues.append(WfIssue(
-                "unguarded", where,
-                "constant %s not under a normal prefix" % t.display_name()))
-    elif isinstance(t, Prefix):
-        _check_guards(t.body, True, where, issues)
-    elif isinstance(t, StrongPrefix):
-        # strong prefixes do not count as guards
-        _check_guards(t.body, guarded, where, issues)
-    elif isinstance(t, (Sum, Par)):
-        _check_guards(t.left, guarded, where, issues)
-        _check_guards(t.right, guarded, where, issues)
-    elif isinstance(t, Restrict):
-        _check_guards(t.body, guarded, where, issues)
+def _check_guards(body: Term, where: str, issues: list):
+    # strong prefixes do not count as guards
+    stack = [(body, False)]
+    while stack:
+        t, guarded = stack.pop()
+        if isinstance(t, Const):
+            if not guarded:
+                issues.append(WfIssue(
+                    "unguarded", where,
+                    "constant %s not under a normal prefix" % t.display_name()))
+        elif isinstance(t, (Prefix, StrongPrefix, Restrict)):
+            stack.append((t.body, guarded or isinstance(t, Prefix)))
+        elif isinstance(t, (Sum, Par)):
+            stack += ((t.right, guarded), (t.left, guarded))
 
 
 def classify_finite_net(program: Program):
@@ -568,31 +596,14 @@ def classify_finite_net(program: Program):
     never inside a definition body.  Returns (flag, reason); reason points
     at the first offending restriction when the answer is False.
     """
-    for name, body in sorted(program.env.defs.items()):
-        r = _find_restrict(body)
-        if r is not None:
-            return False, "def %s contains restriction %s" % (name, format_term(r))
-    offender = _nested_restrict(program.main, True)
-    if offender is not None:
-        return False, "main has a nested restriction: %s" % format_term(offender)
+    env = program.env
+    scopes = [("def %s contains restriction" % name, [body])
+              for name, body in sorted(env.defs.items())]
+    scopes.append(("main has a nested restriction:",
+                   region(program.main, env, lambda name, body: None)))
+    for what, comps in scopes:
+        for comp in comps:
+            for sub in iter_subterms(comp):
+                if isinstance(sub, Restrict):
+                    return False, "%s %s" % (what, format_term(sub))
     return True, "finite-net"
-
-
-def _find_restrict(t: Term):
-    for sub in iter_subterms(t):
-        if isinstance(sub, Restrict):
-            return sub
-    return None
-
-
-def _nested_restrict(t: Term, top: bool):
-    """First restriction that is not in the outermost restrict/par region."""
-    if isinstance(t, Restrict):
-        return t if not top else _nested_restrict(t.body, True)
-    if isinstance(t, Par):
-        return _nested_restrict(t.left, top) or _nested_restrict(t.right, top)
-    if isinstance(t, Sum):
-        return _nested_restrict(t.left, False) or _nested_restrict(t.right, False)
-    if isinstance(t, (Prefix, StrongPrefix)):
-        return _nested_restrict(t.body, False)
-    return None

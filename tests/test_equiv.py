@@ -160,6 +160,24 @@ class TestIsomorphism:
         assert iso.place_map == perm
         assert iso.mapping(net, shuffled)["s1"] == "p2"
 
+    def test_a_1500_place_chain_is_matched_without_recursion(self):
+        # distinct labels colour every place apart, so the search assigns
+        # 1,500 places one level each
+        n = 1500
+
+        def chain(at):
+            return PTNet("chain", ["s%d" % (i + 1) for i in range(n)],
+                         Counter({at[0]: 1}),
+                         [(Counter({at[i]: 1}), (act_in("a%d" % i),),
+                           Counter({at[i + 1]: 1})) for i in range(n - 1)])
+
+        perm = list(range(n))
+        random.Random(0).shuffle(perm)
+        net, shuffled = chain(list(range(n))), chain(perm)
+        iso = isomorphic(net, shuffled)
+        assert iso.found and iso.place_map == perm
+        assert verify_isomorphism(net, shuffled, iso.place_map)
+
     def test_bisimilar_nets_need_not_be_isomorphic(self):
         n1, n2 = load_net("loop_a"), load_net("cycle_a")
         assert net_bisimilar(n1, n2).equivalent

@@ -351,6 +351,29 @@ def test_strict_phils_regions_take_one_signature_round(monkeypatch):
     assert regions and len(rounds) == len(regions)
 
 
+def test_inert_binders_are_individualized_in_one_level(monkeypatch):
+    # each strict phils region ties only inert binders after refinement:
+    # one level gives all of them their fresh colours, and the next finds
+    # no tie left (one level per inert binder made 484 calls here)
+    calls, regions = [], []
+    real_resolve, real_assign = normalform._resolve, normalform._assign
+
+    def resolve(*args):
+        calls.append(None)
+        return real_resolve(*args)
+
+    def assign(binders, *rest):
+        regions.append(len(binders))
+        return real_assign(binders, *rest)
+
+    monkeypatch.setattr(normalform, "_resolve", resolve)
+    monkeypatch.setattr(normalform, "_assign", assign)
+    lts = build_lts(translate(load_net("phils")),
+                    budget=Budget(max_states=60), strict=True)
+    assert len(lts.states) == 60
+    assert (len(regions), len(calls)) == (121, 242)
+
+
 @contextmanager
 def _assign_checked_by_oracle():
     """Check every colouring `normalform._assign` makes against the

@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 from multiccs.parser import ParseError, format_program, parse_program, parse_term
 from multiccs.terms import (
     Action, Const, Env, NIL, Par, Prefix, Program, Restrict, StrongPrefix,
-    Sum, TAU_ACT, act_in, act_out, check_wellformed, classify_finite_net,
-    format_sequence, format_term, free_names, par_fold, sequence_names,
-    substitute, subst_map, term_key,
+    Sum, TAU_ACT, FreshAllocator, act_in, act_out, check_wellformed,
+    classify_finite_net, format_sequence, format_term, free_names,
+    iter_subterms, par_fold, region, sequence_names, substitute, subst_map,
+    term_key,
 )
 
 
@@ -145,6 +146,61 @@ class TestFiniteNetFragment:
     def test_restriction_under_top_parallel_is_fine(self):
         p = parse_program("main = a.0 | (new(x) x.b.0);")
         assert classify_finite_net(p)[0]
+
+
+class TestRegion:
+    def walk(self, text, fresh):
+        binders = []
+        comps = [format_term(c) for c in region(T(text), Env(), fresh,
+                                                binders)]
+        return binders, comps
+
+    def test_components_in_walk_order(self):
+        alloc = FreshAllocator()
+        assert self.walk("a.0 | (new(x)(x.0 | 0) | b.0 + c.0)",
+                         lambda name, body: alloc.fresh(name)) == (
+            ["x#1"], ["a.0", "x#1.0", "0", "b.0 + c.0"])
+
+    def test_a_run_opens_up_to_a_repeated_name(self):
+        alloc = FreshAllocator()
+        assert self.walk("new(a, b, a)(a.b.0)",
+                         lambda name, body: alloc.fresh(name)) == (
+            ["a#1", "b#2", "a#3"], ["a#3.b#2.0"])
+
+    def test_a_closed_binder_is_dropped_without_renaming(self):
+        assert self.walk("new(a, b)(a.b.0 | (new(c) c.0))",
+                         lambda name, body: "z" if name == "b" else None) == (
+            ["z"], ["a.z.0", "c.0"])
+
+    def test_binders_open_as_the_walk_reaches_them(self):
+        alloc = FreshAllocator()
+        walk = region(T("a.0 | (new(x) x.0)"), Env(),
+                      lambda name, body: alloc.fresh(name))
+        assert format_term(next(walk)) == "a.0" and alloc.n == 0
+        assert format_term(next(walk)) == "x#1.0" and alloc.n == 1
+
+
+def _preorder(t):
+    # reference: the recursive pre-order the iterative walks must keep
+    yield t
+    for child in ((t.body,) if isinstance(t, (Prefix, StrongPrefix, Restrict))
+                  else (t.left, t.right) if isinstance(t, (Sum, Par))
+                  else ()):
+        yield from _preorder(child)
+
+
+def _nested_restrict(t, top):
+    # reference: the first restriction outside the outermost region
+    if isinstance(t, Restrict):
+        return t if not top else _nested_restrict(t.body, True)
+    if isinstance(t, Par):
+        return _nested_restrict(t.left, top) or _nested_restrict(t.right, top)
+    if isinstance(t, Sum):
+        return (_nested_restrict(t.left, False)
+                or _nested_restrict(t.right, False))
+    if isinstance(t, (Prefix, StrongPrefix)):
+        return _nested_restrict(t.body, False)
+    return None
 
 
 class TestStructure:
@@ -316,3 +372,15 @@ def test_program_print_parse_roundtrip(t):
     again = parse_program(text)
     assert _assoc(again.main) == _assoc(t)
     assert again.env.defs == env.defs
+
+
+@given(_terms(4))
+def test_walks_keep_the_recursive_order(t):
+    assert list(iter_subterms(t)) == list(_preorder(t))
+    env = Env()
+    env.define("K1", Prefix(act_in("a"), NIL))
+    env.define("K2", Prefix(act_in("b"), Const("K1")))
+    offender = _nested_restrict(t, True)
+    assert classify_finite_net(Program(env, t)) == (
+        (True, "finite-net") if offender is None else
+        (False, "main has a nested restriction: %s" % format_term(offender)))
