@@ -60,9 +60,17 @@ def _load_net(path: str):
     return parse_pnet(_read(path))
 
 
+# the Budget field and least value of each budget flag
+_BUDGET_FLAGS = {"--max-states": ("max_states", 0),
+                 "--max-places": ("max_places", 0),
+                 "--max-trans": ("max_transitions", 0),
+                 "--max-seq-len": ("max_seq_len", 1)}
+
+
 def _budget(args) -> Budget:
-    return Budget(max_states=args.max_states, max_places=args.max_places,
-                  max_transitions=args.max_trans, max_seq_len=args.max_seq_len)
+    """The budget the command's flags set, the default elsewhere."""
+    return Budget(**{field: value for field, value in vars(args).items()
+                     if field.startswith("max_")})
 
 
 def _mode(args, program) -> SyncMode:
@@ -80,17 +88,16 @@ def _at_least(low: int):
     return parse
 
 
-def _add_common(sub, mode=True):
-    d = DEFAULT_BUDGET
-    sub.add_argument("--max-states", type=_at_least(0), default=d.max_states)
-    sub.add_argument("--max-places", type=_at_least(0), default=d.max_places)
-    sub.add_argument("--max-trans", type=_at_least(0),
-                     default=d.max_transitions)
-    sub.add_argument("--max-seq-len", type=_at_least(1),
-                     default=d.max_seq_len)
+def _add_common(sub, budgets=tuple(_BUDGET_FLAGS), mode=True, strict=True):
+    """The budget flags in budgets, --mode and --strict."""
+    for flag in budgets:
+        field, low = _BUDGET_FLAGS[flag]
+        sub.add_argument(flag, dest=field, type=_at_least(low),
+                         default=getattr(DEFAULT_BUDGET, field))
     if mode:
         sub.add_argument("--mode", choices=["auto", "general", "finite-net"],
                          default="auto")
+    if strict:
         sub.add_argument("--strict", action="store_true",
                          help="keep dead components and unused restrictions"
                               " distinct when normalizing states")
@@ -252,8 +259,8 @@ def cmd_step(args) -> int:
     out = sys.stdout
     while True:
         print("state: %s" % state.key(), file=out)
-        moves = step(state, program.env, mode, _budget(args), args.strict,
-                     engine)
+        moves = step(state, program.env, mode, strict=args.strict,
+                     engine=engine)
         # the flag is sticky: cached moves may carry an earlier cut
         status = EBUDGET if engine.truncated else OK
         if status:
@@ -312,7 +319,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--dot", metavar="PATH")
     p.add_argument("--quiet", action="store_true")
-    _add_common(p)
+    _add_common(p, ("--max-states", "--max-seq-len"))
     p.set_defaults(fn=cmd_lts)
 
     p = sub.add_parser("net", help="build or load a place/transition net")
@@ -321,7 +328,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write in net syntax")
     p.add_argument("--analyse", action="store_true",
                    help="also report reducedness and safety")
-    _add_common(p)
+    _add_common(p, strict=False)
     p.set_defaults(fn=cmd_net)
 
     p = sub.add_parser("translate", help="net file to process program")
@@ -332,7 +339,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip",
                        help="net -> program -> net, check isomorphism")
     p.add_argument("file")
-    _add_common(p, mode=False)
+    _add_common(p, mode=False, strict=False)
     p.set_defaults(fn=cmd_roundtrip)
 
     p = sub.add_parser("bisim", help="bisimilarity of two programs, or of a"
@@ -352,7 +359,7 @@ def _parser() -> argparse.ArgumentParser:
                                          " marking graphs")
     p.add_argument("file")
     p.add_argument("other")
-    _add_common(p, mode=False)
+    _add_common(p, ("--max-states",), mode=False, strict=False)
     p.set_defaults(fn=cmd_netbisim)
 
     p = sub.add_parser("sync", help="synchronization outcomes of two"
@@ -366,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("step", help="interactive stepping")
     p.add_argument("file")
-    _add_common(p)
+    _add_common(p, ("--max-seq-len",))
     p.set_defaults(fn=cmd_step)
 
     p = sub.add_parser("dot", help="render a system or net for graphviz")

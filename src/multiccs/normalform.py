@@ -52,11 +52,15 @@ one level per binder would give them; and a level of the search that
 tries one candidate does not render it.  The colours, and so the keys,
 are those of the unpruned search.
 
-Each region is canonicalized once.  Its skeleton already holds every
-binder's final colour, so `normalize` reads the canonical term off the
-skeleton of the whole term (`_term_of`) rather than renaming and sorting
-each region a second time.  The refinement loop, `_refine`, is the only
-one in the package: `equiv` colours net places with it.
+Each region is canonicalized once: its skeleton depends only on its
+unopened body, depth and the tokens of the body's free names, and `_skel`
+memoizes it under those before opening the body (which is opened once
+per `NameGen`, so its nested regions stay the same terms).  That
+skeleton holds every binder's final colour, so `normalize` reads the
+canonical term off the skeleton of the whole term (`_term_of`) rather
+than renaming and sorting each region again.  The refinement loop,
+`_refine`, is the only one in the package: `equiv` colours net places
+with it.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ class NormalForm:
 
 
 class NameGen(FreshAllocator):
-    """Temporary names, free-name and skeleton memos: one per
+    """Temporary names; free-name, split and skeleton memos: one per
     normalization, or one for the lifetime of a `lts.StepEngine`."""
 
     def __init__(self, env: Env, strict: bool):
@@ -103,13 +107,13 @@ class NameGen(FreshAllocator):
         self.strict = strict
         self.memo: dict = {}
         self._fns: dict = {}
+        self.splits: dict = {}
 
     def fns(self, t: Term) -> tuple:
         """The free names of t, sorted."""
         hit = self._fns.get(t)
         if hit is None:
-            hit = tuple(sorted(free_names(t, self.env)))
-            self._fns[t] = hit
+            hit = self._fns[t] = tuple(sorted(free_names(t, self.env)))
         return hit
 
 
@@ -140,14 +144,18 @@ def split_region(t: Term, gen: NameGen):
     """The binders and components of the region t, walked by
     `terms.region`: restrictions are opened with fresh temporaries,
     parallel compositions flattened, and (unless gen.strict) 0 components
-    and unused restrictions dropped."""
+    and unused restrictions dropped; once per gen."""
+    if t in gen.splits:
+        return gen.splits[t]
+
     def fresh(name, body):
         return gen.fresh(name) if gen.strict or name in gen.fns(body) else None
 
     binders: list = []
     comps = [u for u in region(t, gen.env, fresh, binders)
              if gen.strict or not isinstance(u, Nil)]
-    return binders, comps
+    hit = gen.splits[t] = binders, comps
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +168,6 @@ def _slot(name: str, scope: dict):
 
 
 def _skel(t: Term, scope: dict, depth: int, gen: NameGen):
-    key = (t, depth, tuple((n, scope[n]) for n in gen.fns(t) if n in scope))
-    hit = gen.memo.get(key)
-    if hit is None:
-        hit = _skel_raw(t, scope, depth, gen)
-        gen.memo[key] = hit
-    return hit
-
-
-def _skel_raw(t: Term, scope: dict, depth: int, gen: NameGen):
     if isinstance(t, Nil):
         return (0,)
     if isinstance(t, (Prefix, StrongPrefix)):
@@ -178,7 +177,12 @@ def _skel_raw(t: Term, scope: dict, depth: int, gen: NameGen):
             akey = (0, ("f", ""))
         else:
             akey = (1 if a.kind == "in" else 2, _slot(a.name, scope))
-        return (tag, akey, _skel_region(t.body, scope, depth, gen))
+        key = (t.body, depth,
+               tuple((n, scope[n]) for n in gen.fns(t.body) if n in scope))
+        body = gen.memo.get(key)
+        if body is None:
+            body = gen.memo[key] = _skel_region(t.body, scope, depth, gen)
+        return (tag, akey, body)
     if isinstance(t, Sum):
         return (3, _skel(t.left, scope, depth, gen),
                 _skel(t.right, scope, depth, gen))

@@ -82,9 +82,6 @@ def act_out(name: str) -> Action:
 
 
 # A transition label is a non-empty tuple of actions.
-Sequence = tuple  # tuple[Action, ...]
-
-
 def format_sequence(seq) -> str:
     return " ".join(str(a) for a in seq)
 
@@ -103,22 +100,34 @@ def sequence_names(seq) -> frozenset:
 
 
 class Term:
+    """A process term.  Every node hashes its fields when it is built, its
+    children having done so before it, so no hash walks a subtree."""
+
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__hash__ = Term.__hash__  # explicit, so `dataclass` keeps it
+
+    def __post_init__(self):
+        fields = tuple(getattr(self, f) for f in self.__dataclass_fields__)
+        object.__setattr__(self, "_h", hash((type(self).__name__,) + fields))
+
+    def __hash__(self):
+        return self._h
+
+    def __str__(self):
+        return format_term(self)
 
 
 @dataclass(frozen=True)
 class Nil(Term):
-    def __str__(self):
-        return format_term(self)
+    pass
 
 
 @dataclass(frozen=True)
 class Prefix(Term):
     action: Action
     body: Term
-
-    def __str__(self):
-        return format_term(self)
 
 
 @dataclass(frozen=True)
@@ -128,17 +137,11 @@ class StrongPrefix(Term):
     action: Action
     body: Term
 
-    def __str__(self):
-        return format_term(self)
-
 
 @dataclass(frozen=True)
 class Sum(Term):
     left: Term
     right: Term
-
-    def __str__(self):
-        return format_term(self)
 
 
 @dataclass(frozen=True)
@@ -146,17 +149,11 @@ class Par(Term):
     left: Term
     right: Term
 
-    def __str__(self):
-        return format_term(self)
-
 
 @dataclass(frozen=True)
 class Restrict(Term):
     name: str
     body: Term
-
-    def __str__(self):
-        return format_term(self)
 
 
 @dataclass(frozen=True)
@@ -177,28 +174,8 @@ class Const(Term):
         inner = ",".join("%s/%s" % (new, old) for old, new in self.renaming)
         return "%s{%s}" % (self.name, inner)
 
-    def __str__(self):
-        return format_term(self)
-
 
 NIL = Nil()
-
-_TAG_RANK = {Nil: 0, Prefix: 1, StrongPrefix: 2, Sum: 3, Par: 4, Restrict: 5, Const: 6}
-
-
-def _cached_hash(self):
-    # terms are hashed constantly (markings and caches are keyed by them);
-    # the generated dataclass hash walks the whole subtree every call
-    h = self.__dict__.get("_h")
-    if h is None:
-        fields = tuple(getattr(self, f) for f in self.__dataclass_fields__)
-        h = hash((type(self).__name__,) + fields)
-        object.__setattr__(self, "_h", h)
-    return h
-
-
-for _cls in (Nil, Prefix, StrongPrefix, Sum, Par, Restrict, Const):
-    _cls.__hash__ = _cached_hash
 
 
 def term_key(t: Term):
@@ -261,7 +238,7 @@ def iter_subterms(t: Term):
 def par_fold(parts) -> Term:
     """Parallel composition of a list, shaped as a balanced tree: wide
     states (thousands of components) must not overflow the structural
-    recursion in hashing, keys, and printing."""
+    recursion in keys."""
     parts = list(parts)
     if not parts:
         return NIL
@@ -271,12 +248,8 @@ def par_fold(parts) -> Term:
     return parts[0]
 
 
-def format_term(t: Term) -> str:
-    return _fmt(t, 0)
-
-
 # context levels: 0 = term, 1 = par operand, 2 = sum operand, 3 = prefix body
-def _fmt(t: Term, level: int) -> str:
+def format_term(t: Term, level: int = 0) -> str:
     if isinstance(t, Nil):
         return "0"
     if isinstance(t, Const):
@@ -285,9 +258,9 @@ def _fmt(t: Term, level: int) -> str:
         act = str(t.action)
         if isinstance(t, StrongPrefix):
             act = "<%s>" % act
-        return "%s.%s" % (act, _fmt(t.body, 3))
+        return "%s.%s" % (act, format_term(t.body, 3))
     if isinstance(t, Sum):
-        s = "%s + %s" % (_fmt(t.left, 2), _fmt(t.right, 3))
+        s = "%s + %s" % (format_term(t.left, 2), format_term(t.right, 3))
         return "(%s)" % s if level >= 3 else s
     if isinstance(t, Par):
         parts = []
@@ -298,7 +271,7 @@ def _fmt(t: Term, level: int) -> str:
                 stack.append(u.right)
                 stack.append(u.left)
             else:
-                parts.append(_fmt(u, 2))
+                parts.append(format_term(u, 2))
         s = " | ".join(parts)
         return "(%s)" % s if level >= 2 else s
     if isinstance(t, Restrict):
@@ -307,7 +280,7 @@ def _fmt(t: Term, level: int) -> str:
         while isinstance(body, Restrict):
             names.append(body.name)
             body = body.body
-        s = "new(%s) %s" % (", ".join(names), _fmt(body, 0))
+        s = "new(%s) %s" % (", ".join(names), format_term(body, 0))
         return "(%s)" % s if level >= 1 else s
     raise TypeError("not a term: %r" % (t,))
 
@@ -355,10 +328,10 @@ class Env:
         group = {name}
         stack = [name]
         while stack:
-            for ref in _const_refs(self.base_body(stack.pop())):
-                if ref not in group:
-                    group.add(ref)
-                    stack.append(ref)
+            for s in iter_subterms(self.base_body(stack.pop())):
+                if isinstance(s, Const) and s.name not in group:
+                    group.add(s.name)
+                    stack.append(s.name)
         table = {n: frozenset() for n in group}
         lookup = lambda n: self._base_free.get(n, table.get(n, frozenset()))
         changed = True
@@ -373,24 +346,29 @@ class Env:
         return table[name]
 
 
-def _const_refs(t: Term) -> set:
-    return {s.name for s in iter_subterms(t) if isinstance(s, Const)}
-
-
 def _free(t: Term, lookup) -> frozenset:
-    if isinstance(t, Nil):
-        return frozenset()
-    if isinstance(t, (Prefix, StrongPrefix)):
-        base = _free(t.body, lookup)
-        return base if t.action.is_tau else base | {t.action.name}
-    if isinstance(t, (Sum, Par)):
-        return _free(t.left, lookup) | _free(t.right, lookup)
-    if isinstance(t, Restrict):
-        return _free(t.body, lookup) - {t.name}
-    if isinstance(t, Const):
-        ren = dict(t.renaming)
-        return frozenset(ren.get(n, n) for n in lookup(t.name))
-    raise TypeError("not a term: %r" % (t,))
+    """The free names of t, lookup giving a base constant's, in one pass
+    that expands each (constant occurrence, bound names) pair once."""
+    out: set = set()
+    expanded: set = set()
+    stack = [(t, frozenset())]
+    while stack:
+        t, bound = stack.pop()
+        if isinstance(t, (Prefix, StrongPrefix)):
+            if not t.action.is_tau and t.action.name not in bound:
+                out.add(t.action.name)
+            stack.append((t.body, bound))
+        elif isinstance(t, (Sum, Par)):
+            stack += ((t.right, bound), (t.left, bound))
+        elif isinstance(t, Restrict):
+            stack.append((t.body, bound | {t.name}))
+        elif isinstance(t, Const) and (t, bound) not in expanded:
+            expanded.add((t, bound))
+            ren = dict(t.renaming)
+            out.update({ren.get(n, n) for n in lookup(t.name)} - bound)
+        elif not isinstance(t, (Nil, Const)):
+            raise TypeError("not a term: %r" % (t,))
+    return frozenset(out)
 
 
 def free_names(t: Term, env: Env) -> frozenset:
@@ -435,34 +413,33 @@ def substitute(t: Term, old: str, new: str, env: Env) -> Term:
 
 
 def _subst(t: Term, m: dict, env: Env) -> Term:
-    if isinstance(t, Nil):
-        return t
+    # a left spine of sums and parallels is walked in a loop, so a wide
+    # body recurses into its right operands only; unchanged nodes are kept
+    spine = []
+    while isinstance(t, (Sum, Par)):
+        spine.append(t)
+        t = t.left
     if isinstance(t, (Prefix, StrongPrefix)):
         a = t.action
         if not a.is_tau and a.name in m:
             a = Action(a.kind, m[a.name])
         body = _subst(t.body, m, env)
-        if a is t.action and body is t.body:
-            return t
-        return type(t)(a, body)
-    if isinstance(t, (Sum, Par)):
-        left = _subst(t.left, m, env)
-        right = _subst(t.right, m, env)
-        if left is t.left and right is t.right:
-            return t
-        return type(t)(left, right)
-    if isinstance(t, Restrict):
+        if a is not t.action or body is not t.body:
+            t = type(t)(a, body)
+    elif isinstance(t, Restrict):
         if t.name in m:
             # bound name converted together with the free occurrences
-            return Restrict(m[t.name], _subst(t.body, m, env))
-        if t.name in m.values():
+            t = Restrict(m[t.name], _subst(t.body, m, env))
+        elif t.name in m.values():
             # the binder would capture an incoming name: alpha-convert first
             fresh = _fresh_binder(t.name, t.body, m, env)
             body = _subst(t.body, {t.name: fresh}, env)
-            return Restrict(fresh, _subst(body, m, env))
-        body = _subst(t.body, m, env)
-        return t if body is t.body else Restrict(t.name, body)
-    if isinstance(t, Const):
+            t = Restrict(fresh, _subst(body, m, env))
+        else:
+            body = _subst(t.body, m, env)
+            if body is not t.body:
+                t = Restrict(t.name, body)
+    elif isinstance(t, Const):
         ren = dict(t.renaming)
         pairs = []
         for base_name in env.const_free(t.name):
@@ -471,8 +448,16 @@ def _subst(t: Term, m: dict, env: Env) -> Term:
             if img != base_name:
                 pairs.append((base_name, img))
         new_ren = tuple(sorted(pairs))
-        return t if new_ren == t.renaming else Const(t.name, new_ren)
-    raise TypeError("not a term: %r" % (t,))
+        if new_ren != t.renaming:
+            t = Const(t.name, new_ren)
+    elif not isinstance(t, Nil):
+        raise TypeError("not a term: %r" % (t,))
+    for node in reversed(spine):
+        right = _subst(node.right, m, env)
+        if t is not node.left or right is not node.right:
+            node = type(node)(t, right)
+        t = node
+    return t
 
 
 def _fresh_binder(base: str, body: Term, m: dict, env: Env) -> str:

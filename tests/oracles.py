@@ -15,7 +15,9 @@ from multiccs.lts import DEFAULT_BUDGET, Lts
 from multiccs.net2term import _encode, _sources
 from multiccs.nets import OMEGA, NetBuilder, build_net, format_marking
 from multiccs.sync import SyncMode, auto_mode
-from multiccs.terms import TAU_ACT
+from multiccs.terms import (
+    TAU_ACT, Const, Nil, Par, Prefix, Restrict, StrongPrefix, Sum,
+)
 
 
 def oracle_sync(s1, s2):
@@ -337,3 +339,33 @@ def full_scan_marking_graph(net, budget=DEFAULT_BUDGET) -> Lts:
     states = [format_marking({i: c for i, c in enumerate(m) if c},
                              net.place_names) for m in index]
     return Lts(states, list(edges), 0, complete)
+
+
+def recursive_free(t, env) -> frozenset:
+    """The free names of t by structural recursion; the free names of the
+    constants are tabulated first, by re-reading every definition until no
+    entry grows (the least fixpoint)."""
+    table = {name: frozenset() for name in env.defs}
+    grown = True
+    while grown:
+        grown = False
+        for name, body in env.defs.items():
+            names = _recursive_free(body, table)
+            if names != table[name]:
+                table[name], grown = names, True
+    return _recursive_free(t, table)
+
+
+def _recursive_free(t, table) -> frozenset:
+    if isinstance(t, Nil):
+        return frozenset()
+    if isinstance(t, (Prefix, StrongPrefix)):
+        own = frozenset() if t.action.is_tau else {t.action.name}
+        return _recursive_free(t.body, table) | own
+    if isinstance(t, (Sum, Par)):
+        return _recursive_free(t.left, table) | _recursive_free(t.right, table)
+    if isinstance(t, Restrict):
+        return _recursive_free(t.body, table) - {t.name}
+    assert isinstance(t, Const)
+    renaming = dict(t.renaming)
+    return frozenset(renaming.get(n, n) for n in table[t.name])

@@ -85,7 +85,7 @@ class TestLts:
 
     def test_deep_nesting_is_reported_in_one_line(self, capsys, tmp_path):
         f = tmp_path / "deep.mccs"
-        f.write_text("main = %s0;\n" % ("a." * 300))
+        f.write_text("main = %s0;\n" % ("a." * 2000))
         assert run("lts", f, "--quiet") == 4
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "nests too deeply" in err
@@ -155,6 +155,28 @@ class TestBudgetFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage" in captured.err and argv[-2] in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("lts", "--max-places", "5"),
+        ("lts", "--max-trans", "5"),
+        ("step", "--max-states", "5"),
+        ("step", "--max-places", "5"),
+        ("step", "--max-trans", "5"),
+        ("net-bisim", "--max-places", "5"),
+        ("net-bisim", "--max-trans", "5"),
+        ("net-bisim", "--max-seq-len", "5"),
+        ("net", "--strict"),
+    ])
+    def test_a_flag_the_command_does_not_read_is_refused(self, capsys,
+                                                         tmp_path, argv):
+        f = tmp_path / "p.mccs"
+        f.write_text("main = a.0;\n")
+        files = (f, f) if argv[0] == "net-bisim" else (f,)
+        assert run(argv[0], *files, *argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: %s" % " ".join(argv[1:]) in \
+            captured.err
 
     def test_zero_caps_are_budgets_not_usage_errors(self, capsys, tmp_path):
         f = tmp_path / "p.mccs"

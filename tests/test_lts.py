@@ -59,6 +59,10 @@ class TestBaseMoves:
         with pytest.raises(GuardednessError):
             lts_of("P = Q + a.0; Q = P + b.0; main = P;")
 
+    def test_guardedness_error_shows_the_term_as_written(self):
+        with pytest.raises(GuardednessError, match=r"prefix in Q \+ a\.0$"):
+            lts_of("P = Q + a.0; Q = P + b.0; main = P;")
+
     def test_strong_prefix_needs_a_continuation(self):
         # an atomic head whose body cannot move is a dead end
         assert shape(lts_of("main = <a>.0;")) == (1, 0)

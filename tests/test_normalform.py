@@ -325,6 +325,47 @@ def test_symmetric_binders_are_individualized_once_per_orbit(monkeypatch):
     assert len(calls) <= 150
 
 
+def _nested(levels, rnd=None, mention=False):
+    """a.N with N nested `levels` deep: each level is the region
+    new(x, y, z)(x.~y.N' | y.~z.N' | z.~x.N') over the next level N'.
+    Given rnd, each level declares its binders in a shuffled order; with
+    mention, each inner level's components start with the enclosing
+    level's x."""
+    body = "0"
+    for k in range(levels):
+        x, y, z = ("%s%d" % (v, k) for v in "xyz")
+        outer = "x%d." % (k + 1) if mention and k + 1 < levels else ""
+        decl = [x, y, z]
+        if rnd is not None:
+            rnd.shuffle(decl)
+        body = "new(%s)(%s)" % (", ".join(decl), " | ".join(
+            "%s.~%s.%s(%s)" % (a, b, outer, body)
+            for a, b in ((x, y), (y, z), (z, x))))
+    return parse_term("a.(%s)" % body)
+
+
+@pytest.mark.parametrize("mention, most", [(False, 100), (True, 400)])
+def test_nested_regions_are_canonicalized_once(monkeypatch, env, mention,
+                                                most):
+    # each region's skeleton is memoized under its unopened body and the
+    # tokens of its free names; without that memo every rendering of the
+    # enclosing component re-canonicalizes every region below it, 583,442
+    # region calls at four plain levels
+    calls = []
+    real = normalform._skel_region
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(normalform, "_skel_region", counting)
+    key = normalize(_nested(4, mention=mention), env).key()
+    assert len(calls) <= most
+    rnd = random.Random(4)
+    for _ in range(3):
+        assert normalize(_nested(4, rnd, mention), env).key() == key
+
+
 def test_strict_phils_regions_take_one_signature_round(monkeypatch):
     # each 12-binder region ties only binders that no component mentions
     # after its first round, so refinement stops there, and individualizing

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 from multiccs.parser import ParseError, format_program, parse_program, parse_term
 from multiccs.terms import (
     Action, Const, Env, NIL, Par, Prefix, Program, Restrict, StrongPrefix,
-    Sum, TAU_ACT, FreshAllocator, act_in, act_out, check_wellformed,
+    Sum, TAU_ACT, Term, FreshAllocator, act_in, act_out, check_wellformed,
     classify_finite_net, format_sequence, format_term, free_names,
     iter_subterms, par_fold, region, sequence_names, substitute, subst_map,
     term_key,
 )
+
+from oracles import recursive_free
 
 
 def T(text):
@@ -228,6 +230,15 @@ class TestStructure:
         b = Par(Prefix(act_in("a"), NIL), Prefix(act_out("b"), NIL))
         assert a == b and hash(a) == hash(b)
 
+    def test_every_term_prints_in_program_syntax(self):
+        terms = [NIL, T("a.0"), T("<~a>.b.0"), T("a.0 + tau.0"),
+                 T("a.0 | b.0"), T("new(a, b) (a.0 | ~b.0)"),
+                 Const("K", (("a", "b"),))]
+        assert {type(t) for t in terms} == set(Term.__subclasses__())
+        for t in terms:
+            assert str(t) == format_term(t)
+        assert str(terms[-1]) == "K{b/a}"
+
 
 # -- parsing and printing ----------------------------------------------------
 
@@ -317,13 +328,16 @@ _actions = st.one_of(
 )
 
 
-def _terms(depth):
+_plain_consts = st.builds(Const, st.sampled_from(["K1", "K2"]))
+
+
+def _terms(depth, consts=_plain_consts):
     if depth == 0:
-        return st.one_of(st.just(NIL), st.builds(Const, st.sampled_from(["K1", "K2"])))
-    sub = _terms(depth - 1)
+        return st.one_of(st.just(NIL), consts)
+    sub = _terms(depth - 1, consts)
     return st.one_of(
         st.just(NIL),
-        st.builds(Const, st.sampled_from(["K1", "K2"])),
+        consts,
         st.builds(Prefix, _actions, sub),
         st.builds(StrongPrefix, _actions, sub),
         st.builds(Par, sub, sub),
@@ -384,3 +398,21 @@ def test_walks_keep_the_recursive_order(t):
     assert classify_finite_net(Program(env, t)) == (
         (True, "finite-net") if offender is None else
         (False, "main has a nested restriction: %s" % format_term(offender)))
+
+
+# free names: the one-pass walk against a recursive reference, over
+# shadowing binders (three names only) and renamed constants whose
+# definitions refer to each other
+_renamings = st.dictionaries(_names, st.sampled_from("abcd"), max_size=2).map(
+    lambda m: tuple(sorted((o, n) for o, n in m.items() if o != n)))
+_renamed_consts = st.builds(Const, st.sampled_from(["K1", "K2"]), _renamings)
+
+
+@given(_terms(4, _renamed_consts), _terms(3, _renamed_consts),
+       _terms(3, _renamed_consts))
+def test_free_names_match_the_recursive_reference(t, k1, k2):
+    env = Env()
+    env.define("K1", k1)
+    env.define("K2", k2)
+    assert free_names(t, env) == recursive_free(t, env)
+    assert free_names(Const("K1"), env) == recursive_free(Const("K1"), env)

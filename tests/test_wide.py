@@ -1,16 +1,19 @@
 """Stress tests on wide terms: a flat parallel composition of thousands of
 components, nested to the left as the parser builds it, goes through every
-region walk (`terms.region` and the explicit-stack traversals) without one
-level of recursion per component."""
+region walk (`terms.region` and the explicit-stack traversals), free-name
+computation and substitution without one level of recursion per
+component."""
 
+import time
 from collections import Counter
 
 from multiccs.cli import main
-from multiccs.lts import Budget
+from multiccs.lts import Budget, build_lts
 from multiccs.nets import build_net, dec
 from multiccs.normalform import normalize
 from multiccs.parser import parse_program, parse_term
-from multiccs.terms import check_wellformed, classify_finite_net
+from multiccs.terms import (Const, check_wellformed, classify_finite_net,
+                            format_term, free_names)
 
 WIDTH = 10_000
 
@@ -41,6 +44,32 @@ def test_a_wide_definition_body_is_checked():
     prog = parse_program("K = %s | K; main = K;" % wide(WIDTH, "a%d.K"))
     assert [issue.code for issue in check_wellformed(prog).issues] == [
         "unguarded"]
+
+
+def test_a_wide_definition_body_has_its_free_names_in_one_pass():
+    prog = parse_program("K = %s; main = K;" % wide(WIDTH, "a%d.K"))
+    start = time.perf_counter()
+    names = free_names(Const("K"), prog.env)
+    assert time.perf_counter() - start < 0.5
+    assert names == {"a%d" % i for i in range(WIDTH)}
+
+
+def test_a_wide_restricted_body_is_opened_and_normalized():
+    # opening the restriction substitutes into the whole wide body
+    prog = parse_program("main = new(x)(%s);" % wide(WIDTH, "x.a%d.0"))
+    places = dec(prog.main, prog.env)
+    assert {format_term(c): n for c, n in places.items()} == {
+        "x#1.a%d.0" % i: 1 for i in range(WIDTH)}
+    nf = normalize(prog.main, prog.env)
+    assert (nf.restricted, len(nf.components)) == (("ν1",), WIDTH)
+
+
+def test_a_wide_restricted_body_builds_its_lts():
+    # no component can move: x has no partner
+    prog = parse_program("main = new(x)(%s);" % wide(2000, "x.a%d.0"))
+    lts = build_lts(prog, budget=Budget(max_states=3))
+    assert (len(lts.states), len(lts.transitions), lts.complete) == (
+        1, 0, True)
 
 
 def test_a_wide_main_builds_a_net_up_to_the_state_budget():
