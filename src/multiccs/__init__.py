@@ -7,7 +7,7 @@ from .terms import (
     Nil, NIL, Prefix, StrongPrefix, Sum, Par, Restrict, Const, Term,
     Env, Program, MccsError, UndefinedConstantError, GuardednessError,
     format_term, free_names, substitute, subst_map, term_key,
-    is_sequential, check_wellformed, classify_finite_net,
+    check_wellformed, classify_finite_net,
 )
 from .parser import (ParseError, parse_program, parse_term, format_program,
                      parse_sequence, parse_pnet, format_pnet)
@@ -33,7 +33,7 @@ __all__ = [
     "Const", "Term", "Env", "Program",
     "MccsError", "UndefinedConstantError", "GuardednessError",
     "format_term", "free_names", "substitute", "subst_map", "term_key",
-    "is_sequential", "check_wellformed", "classify_finite_net",
+    "check_wellformed", "classify_finite_net",
     "ParseError", "parse_program", "parse_term", "format_program",
     "parse_sequence",
     "SyncMode", "sync_outcomes", "is_sync",

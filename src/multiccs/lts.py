@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .normalform import (
-    NameGen, NormalForm, component_order, normalize, split_region,
+    NameGen, NormalForm, component_order, format_state, normalize,
+    split_region,
 )
 from .sync import SyncMode, sync_outcomes
 from .terms import (
@@ -70,7 +71,8 @@ def _coacts(label) -> frozenset:
 
 
 def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
-            cap: int, seeds: list | None = None) -> tuple:
+            cap: int, seeds: list | None = None,
+            memo: dict | None = None) -> tuple:
     """The pairwise synchronization closure over the multiset `bound`.
 
     base(component) gives the (label, produced) moves of one component,
@@ -90,8 +92,11 @@ def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
     below it, so the items below seeds[i] are, in order, exactly the
     closure over seeds[i] alone, and `truncated` is the OR of the
     per-seed flags.  `cap` bounds the one shared closure, so it can stop
-    a closure over seeds none of which would reach it alone.
+    a closure over seeds none of which would reach it alone.  `memo` maps
+    label pairs to their synchronizations under `mode`, sorted by
+    `label_key`; a caller keeps one across calls (a fresh one without).
     """
+    memo = {} if memo is None else memo
     items: dict = {}
     queue = deque()
     truncated = False
@@ -152,7 +157,11 @@ def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
             if not below:
                 continue
             merged = used1 + used2
-            for lab3 in sorted(sync_outcomes(lab1, lab2, mode), key=label_key):
+            outs = memo.get((lab1, lab2))
+            if outs is None:
+                outs = memo[lab1, lab2] = sorted(
+                    sync_outcomes(lab1, lab2, mode), key=label_key)
+            for lab3 in outs:
                 if mode is SyncMode.GENERAL and len(lab3) > max_seq_len:
                     truncated = True
                 elif not add(merged, lab3, prod1 + prod2, below):
@@ -162,9 +171,7 @@ def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
 
 @dataclass
 class Lts:
-    # printed normal forms (`NormalForm.key()`), index 0 is the initial
-    # state; a state without restricted names prints as its components
-    # joined with " | " in normal-form order, or "0" when it has none
+    # printed normal forms (`NormalForm.key()`); index 0 is the initial state
     states: list
     transitions: list     # (source index, label sequence, target index)
     initial: int = 0
@@ -201,6 +208,7 @@ class StepEngine:
         self.strict = strict
         self.truncated = False
         self._seq_cache: dict = {}
+        self._sync: dict = {}     # the memo of `closure`
         self._busy: set = set()
         # splits regions; its "a#n" binder temporaries are unique for the
         # engine's lifetime, so nested splits never shadow each other
@@ -256,7 +264,7 @@ class StepEngine:
             comps,
             lambda c: [(label, Counter({cont: 1}))
                        for label, cont in self.seq_moves(c)],
-            self.mode, self.max_seq_len, _MAX_ITEMS)
+            self.mode, self.max_seq_len, _MAX_ITEMS, memo=self._sync)
         self.truncated = self.truncated or truncated
         blocked = set(restricted)
         return [item for item in items
@@ -289,10 +297,6 @@ def _counted(nf: NormalForm):
     (component, count) pairs in normal-form order)."""
     return nf.restricted, tuple((c, len(list(run)))
                                 for c, run in groupby(nf.components))
-
-
-def _expand(counted) -> tuple:
-    return tuple(c for c, n in counted for _ in range(n))
 
 
 def explore(init, successors, max_states: int, visit=None):
@@ -348,16 +352,12 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
         text = texts.get(state)
         if text is None:
             restricted, comps = state
-            if restricted:
-                text = NormalForm(restricted, _expand(comps)).key()
-            else:
-                parts = []
-                for c, n in comps:
-                    if c not in printed:
-                        printed[c] = format_term(c)
-                    parts += [printed[c]] * n
-                text = " | ".join(parts) or "0"
-            texts[state] = text
+            parts = []
+            for c, n in comps:
+                if c not in printed:
+                    printed[c] = format_term(c)
+                parts += [printed[c]] * n
+            text = texts[state] = format_state(restricted, parts)
         return text
 
     def rank(kv):

@@ -200,6 +200,7 @@ class NetBuilder:
         self.budget = budget
         self.alloc = FreshAllocator()
         self._moves: dict = {}
+        self._sync: dict = {}     # the memo of `closure`
         self._busy: set = set()
         self.item_cap = max(512, 4 * budget.max_transitions)
         self.truncated_items = False
@@ -254,7 +255,8 @@ class NetBuilder:
         With `seeds`, whose join `join` is, the closure of one fixpoint
         round: only the items below some seed, each with the bitmask of the
         seeds it lies below as a fourth field (see `lts.closure`).  Only
-        place moves are memoized (`place_moves`); a closure is not, as no
+        place moves and label pairs' synchronizations are memoized
+        (`place_moves`, `_sync`); a closure is not, as no
         construction asks for one twice: a strong-prefix body is met once,
         through the memo of its place, no two rounds have the same seeds
         (whether their tree was resumed or restarted, `build` stops at the
@@ -275,7 +277,7 @@ class NetBuilder:
             unmet.difference_update(here)
         items, truncated = closure(
             join, self.place_moves, self.mode, self.budget.max_seq_len,
-            self.item_cap if cap is None else cap, seeds)
+            self.item_cap if cap is None else cap, seeds, self._sync)
         self.truncated_items = self.truncated_items or truncated
         return items
 

@@ -91,10 +91,17 @@ class NormalForm:
         return body
 
     def key(self) -> str:
-        return format_term(self.to_term())
+        return format_state(self.restricted, map(format_term, self.components))
 
     def __str__(self):
         return self.key()
+
+
+def format_state(restricted, texts) -> str:
+    """`format_term(nf.to_term())` from the printed components of nf: a
+    component prints the same at the top as under |."""
+    body = " | ".join(texts) or "0"
+    return "new(%s) %s" % (", ".join(restricted), body) if restricted else body
 
 
 class NameGen(FreshAllocator):

@@ -176,28 +176,34 @@ def _sum(ts) -> Term:
 
 
 def _seq(ts) -> Term:
-    k, v, _ = ts.peek()
+    # a chain of prefixes is read in a loop, then folded onto the process
+    # that ends it, so a long chain does not recurse once per prefix
+    prefixes = []
+    while True:
+        k, v, _ = ts.peek()
+        if k == "punct" and v == "<":
+            ts.next()
+            prefixes.append((StrongPrefix, _act(ts)))
+            ts.expect("punct", ">")
+        elif k == "name" or (k == "punct" and v == "~"):
+            prefixes.append((Prefix, _act(ts)))
+        else:
+            break
+        ts.expect("punct", ".")
     if k == "nat" and v == "0":
         ts.next()
-        return NIL
-    if k == "punct" and v == "(":
+        t = NIL
+    elif k == "punct" and v == "(":
         ts.next()
         t = _term(ts)
         ts.expect("punct", ")")
-        return t
-    if k == "ucname":
-        return Const(ts.next()[1])
-    if k == "punct" and v == "<":
-        ts.next()
-        act = _act(ts)
-        ts.expect("punct", ">")
-        ts.expect("punct", ".")
-        return StrongPrefix(act, _seq(ts))
-    if k == "name" or (k == "punct" and v == "~"):
-        act = _act(ts)
-        ts.expect("punct", ".")
-        return Prefix(act, _seq(ts))
-    ts.error("expected a process")
+    elif k == "ucname":
+        t = Const(ts.next()[1])
+    else:
+        ts.error("expected a process")
+    for kind, act in reversed(prefixes):
+        t = kind(act, t)
+    return t
 
 
 def _act(ts) -> Action:

@@ -15,7 +15,6 @@ finite-net processes finite.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 from .terms import TAU_ACT, classify_finite_net
 
@@ -32,8 +31,10 @@ def auto_mode(program) -> SyncMode:
     return SyncMode.FINITE_NET if flag else SyncMode.GENERAL
 
 
-@lru_cache(maxsize=None)
-def _outcomes(s1, s2) -> frozenset:
+def _outcomes(s1, s2, memo: dict) -> frozenset:
+    # memo: the outcomes of the suffix pairs met in one `sync_outcomes` call
+    if (s1, s2) in memo:
+        return memo[s1, s2]
     if not s1 or not s2:
         return frozenset()
     a, rest1 = s1[0], s1[1:]
@@ -48,18 +49,18 @@ def _outcomes(s1, s2) -> frozenset:
         elif rest2 and not rest1:
             out.add(rest2)
         else:
-            out |= _outcomes(rest1, rest2)
+            out |= _outcomes(rest1, rest2, memo)
     if rest1:
         if a.is_tau:
-            out |= _outcomes(rest1, s2)
+            out |= _outcomes(rest1, s2, memo)
         else:
-            out |= {(a,) + s for s in _outcomes(rest1, s2)}
+            out |= {(a,) + s for s in _outcomes(rest1, s2, memo)}
     if rest2:
         if b.is_tau:
-            out |= _outcomes(s1, rest2)
+            out |= _outcomes(s1, rest2, memo)
         else:
-            out |= {(b,) + s for s in _outcomes(s1, rest2)}
-    return frozenset(out)
+            out |= {(b,) + s for s in _outcomes(s1, rest2, memo)}
+    return memo.setdefault((s1, s2), frozenset(out))
 
 
 def sync_outcomes(s1, s2, mode: SyncMode = SyncMode.GENERAL) -> frozenset:
@@ -67,7 +68,7 @@ def sync_outcomes(s1, s2, mode: SyncMode = SyncMode.GENERAL) -> frozenset:
     s1, s2 = tuple(s1), tuple(s2)
     if mode is SyncMode.FINITE_NET and len(s1) != 1 and len(s2) != 1:
         return frozenset()
-    return _outcomes(s1, s2)
+    return _outcomes(s1, s2, {})
 
 
 def is_sync(s1, s2, result, mode: SyncMode = SyncMode.GENERAL) -> bool:

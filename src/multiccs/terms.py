@@ -6,7 +6,8 @@ process.  Action names live in two disjoint namespaces: user-written names
 (lowercase identifiers) and generated names, which contain '#' and come
 from one `FreshAllocator`: the net decomposition opens a restriction with
 one (a restricted name), and region splitting in `normalform` renames a
-binder to one (a temporary), both through one walk, `region`.  The
+binder to one (a temporary), both through one walk, `region`.
+Substitution's capture-avoiding rename picks a name of the same form.  The
 canonical bound names of normal forms form a third family of their own.
 """
 
@@ -203,15 +204,6 @@ def _term_key(t: Term):
     if isinstance(t, Const):
         return (6, t.name, t.renaming)
     raise TypeError("not a term: %r" % (t,))
-
-
-def is_sequential(t: Term) -> bool:
-    """Sequential processes: 0, prefixes, and sums of sequential processes."""
-    if isinstance(t, (Nil, Prefix, StrongPrefix)):
-        return True
-    if isinstance(t, Sum):
-        return is_sequential(t.left) and is_sequential(t.right)
-    return False
 
 
 def iter_subterms(t: Term):
@@ -461,11 +453,12 @@ def _subst(t: Term, m: dict, env: Env) -> Term:
 
 
 def _fresh_binder(base: str, body: Term, m: dict, env: Env) -> str:
+    """A generated name base#k, free in neither body nor m."""
     taken = set(free_names(body, env)) | set(m) | set(m.values())
-    i = 1
-    while "%s_%d" % (base, i) in taken:
+    base, i = base.split("#")[0], 1
+    while "%s#%d" % (base, i) in taken:
         i += 1
-    return "%s_%d" % (base, i)
+    return "%s#%d" % (base, i)
 
 
 def region(t: Term, env: Env, fresh, binders: list | None = None):
@@ -531,46 +524,44 @@ class WfReport:
 
 
 def check_wellformed(program: Program) -> WfReport:
-    """Closedness, guardedness, and sequential sum operands.
+    """Closedness, guardedness, and sequential sum operands, in one walk
+    of each scope: its undefined-constant and sum-operand issues in
+    pre-order, then its unguarded ones.
 
     - every constant mentioned anywhere must be defined;
     - inside definition bodies, every constant occurrence must sit under at
-      least one normal (non-strong) prefix;
-    - both operands of + must be sequential processes.
+      least one normal prefix (strong prefixes do not guard);
+    - both operands of + must be sequential: 0, a prefix, or a + whose
+      operands are checked in turn, so each one is reported once.
     """
     env, issues = program.env, []
     scopes = [("main", program.main, False)] + [
         ("def %s" % n, b, True) for n, b in sorted(env.defs.items())
     ]
     for where, body, need_guard in scopes:
-        for sub in iter_subterms(body):
-            if isinstance(sub, Const) and sub.name not in env.defs:
-                issues.append(WfIssue("undefined", where, "constant %s has no definition" % sub.name))
-            if isinstance(sub, Sum):
-                for side, operand in (("left", sub.left), ("right", sub.right)):
-                    if not is_sequential(operand):
+        unguarded = []
+        stack = [(body, not need_guard)]
+        while stack:
+            t, guarded = stack.pop()
+            if isinstance(t, Const):
+                if t.name not in env.defs:
+                    issues.append(WfIssue("undefined", where, "constant %s has no definition" % t.name))
+                if not guarded:
+                    unguarded.append(WfIssue(
+                        "unguarded", where,
+                        "constant %s not under a normal prefix" % t.display_name()))
+            elif isinstance(t, (Prefix, StrongPrefix, Restrict)):
+                stack.append((t.body, guarded or isinstance(t, Prefix)))
+            elif isinstance(t, (Sum, Par)):
+                stack += ((t.right, guarded), (t.left, guarded))
+            if isinstance(t, Sum):
+                for side, operand in (("left", t.left), ("right", t.right)):
+                    if not isinstance(operand, (Nil, Prefix, StrongPrefix, Sum)):
                         issues.append(WfIssue(
                             "sum-operand", where,
                             "%s operand of + is not sequential: %s" % (side, format_term(operand))))
-        if need_guard:
-            _check_guards(body, where, issues)
+        issues += unguarded
     return WfReport(issues)
-
-
-def _check_guards(body: Term, where: str, issues: list):
-    # strong prefixes do not count as guards
-    stack = [(body, False)]
-    while stack:
-        t, guarded = stack.pop()
-        if isinstance(t, Const):
-            if not guarded:
-                issues.append(WfIssue(
-                    "unguarded", where,
-                    "constant %s not under a normal prefix" % t.display_name()))
-        elif isinstance(t, (Prefix, StrongPrefix, Restrict)):
-            stack.append((t.body, guarded or isinstance(t, Prefix)))
-        elif isinstance(t, (Sum, Par)):
-            stack += ((t.right, guarded), (t.left, guarded))
 
 
 def classify_finite_net(program: Program):

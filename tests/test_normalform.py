@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multiccs.normalform as normalform
-from multiccs.lts import Budget, build_lts
+from multiccs.lts import Budget, build_lts, step
 from multiccs.net2term import translate
-from multiccs.normalform import normalize
+from multiccs.normalform import NormalForm, normalize
 from multiccs.parser import parse_term
 from multiccs.terms import (
     Const, Env, NIL, Par, Prefix, Restrict, StrongPrefix, Sum, TAU_ACT,
@@ -20,6 +20,7 @@ from multiccs.terms import (
 
 from conftest import CORPUS, LINK_KINDS, binder_link, load_net, load_program
 from oracles import full_render_assign
+from test_golden_lts import cases, modes
 
 
 @pytest.fixture
@@ -223,6 +224,23 @@ def test_strict_refines_lax(t):
     env = _env()
     u = Par(t, NIL)
     assert normalize(u, env).key() == normalize(t, env).key()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_keys_print_the_term_of_the_normal_form(strict):
+    # the state printer joins the printed components; the whole term
+    # prints the same, for every pinned program's initial state and
+    # its one-step successors
+    nfs = [NormalForm((), ()), NormalForm(("ν1", "ν2"), ())]
+    for _, prog, _ in cases():
+        init = normalize(prog.main, prog.env, strict)
+        nfs.append(init)
+        nfs += [target for _, target in step(
+            init, prog.env, modes(prog)["auto"], strict=strict)]
+    assert [nf.key() for nf in nfs[:2]] == ["0", "new(ν1, ν2) 0"]
+    assert any(nf.restricted for nf in nfs[2:])
+    for nf in nfs:
+        assert nf.key() == format_term(nf.to_term())
 
 
 # -- symmetric binder regions --------------------------------------------------

@@ -5,8 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multiccs.sync
+from multiccs.lts import StepEngine
+from multiccs.nets import NetBuilder, dec
 from multiccs.sync import SyncMode, auto_mode, is_sync, sync_outcomes
-from multiccs.terms import TAU_ACT, act_in, act_out
+from multiccs.terms import TAU_ACT, act_in, act_out, label_key
 
 from conftest import load_program
 from oracles import oracle_sync
@@ -151,3 +154,20 @@ def test_is_sync_consistent(s1, s2):
 ])
 def test_auto_mode_follows_the_finite_net_fragment(name, mode):
     assert auto_mode(load_program(name)) is mode
+
+
+def test_synchronizations_are_memoized_per_engine_only():
+    # no module-level cache: each engine, and each net builder, keeps the
+    # synchronizations of the label pairs its closures met
+    assert not hasattr(multiccs.sync._outcomes, "cache_info")
+    prog = load_program("multiway")
+    comps = dec(prog.main, prog.env)
+    e1, e2 = StepEngine(prog.env), StepEngine(prog.env)
+    e1.closure(comps)
+    assert e1._sync and not e2._sync
+    n1 = NetBuilder(prog.env, SyncMode.GENERAL)
+    n2 = NetBuilder(prog.env, SyncMode.GENERAL)
+    n1.derive_items(comps)
+    assert n1._sync and not n2._sync
+    for (lab1, lab2), outs in n1._sync.items():
+        assert outs == sorted(sync_outcomes(lab1, lab2), key=label_key)

@@ -92,6 +92,18 @@ class TestSubstitution:
         env = Env()
         assert substitute(T("tau.a.0"), "a", "b", env) == T("tau.b.0")
 
+    def test_a_capturing_binder_takes_a_generated_name(self):
+        # the new binder is base#k with base stripped of its own #k, free
+        # in neither the body nor the substitution
+        env = Env()
+        out = subst_map(T("new(b) a.b.0"), {"a": "b"}, env)
+        assert format_term(out) == "new(b#1) b.b#1.0"
+        taken = Par(T("a.b.0"), Prefix(act_in("b#1"), NIL))
+        out = subst_map(Restrict("b", taken), {"a": "b"}, env)
+        assert out.name == "b#2"
+        body = Prefix(act_in("a"), Prefix(act_in("b#3"), NIL))
+        assert subst_map(Restrict("b#3", body), {"a": "b#3"}, env).name == "b#1"
+
 
 class TestWellFormedness:
     def test_good_program(self):
@@ -109,6 +121,23 @@ class TestWellFormedness:
         rep = check_wellformed(p)
         assert not rep.ok
         assert any(i.code == "sum-operand" for i in rep.issues)
+
+    def test_a_non_sequential_operand_is_reported_once(self):
+        # at the sum that holds it; the outer sum's operand is itself a sum
+        p = parse_program("main = (a.0 | b.0) + c.0 + d.0;")
+        assert [str(i) for i in check_wellformed(p).issues] == [
+            "[sum-operand] main: left operand of + is not sequential: "
+            "a.0 | b.0"]
+
+    def test_issues_in_preorder_then_unguarded(self):
+        p = parse_program("K = (a.0 | L) + K; main = K;")
+        assert [(i.code, i.detail.split(":")[0])
+                for i in check_wellformed(p).issues] == [
+            ("sum-operand", "left operand of + is not sequential"),
+            ("sum-operand", "right operand of + is not sequential"),
+            ("undefined", "constant L has no definition"),
+            ("unguarded", "constant L not under a normal prefix"),
+            ("unguarded", "constant K not under a normal prefix")]
 
     def test_strong_prefix_does_not_guard(self):
         p = parse_program("A = <a>.A + b.0; main = A;")
@@ -416,3 +445,22 @@ def test_free_names_match_the_recursive_reference(t, k1, k2):
     env.define("K2", k2)
     assert free_names(t, env) == recursive_free(t, env)
     assert free_names(Const("K1"), env) == recursive_free(Const("K1"), env)
+
+
+# substitution: over shadowing binders, a renaming whose keys bind nowhere
+# in the term maps its free names to exactly their image; a binder that
+# would capture a target is renamed apart
+_maps = st.dictionaries(st.sampled_from("abcd"), st.sampled_from("abcde"),
+                        max_size=3)
+
+
+@given(_terms(4, _renamed_consts), _maps, _terms(3, _renamed_consts),
+       _terms(3, _renamed_consts))
+def test_a_renaming_maps_free_names_to_their_image(t, m, k1, k2):
+    env = Env()
+    env.define("K1", k1)
+    env.define("K2", k2)
+    bound = {s.name for s in iter_subterms(t) if isinstance(s, Restrict)}
+    m = {old: new for old, new in m.items() if old not in bound}
+    assert free_names(subst_map(t, m, env), env) == {
+        m.get(n, n) for n in free_names(t, env)}

@@ -2,10 +2,13 @@
 components, nested to the left as the parser builds it, goes through every
 region walk (`terms.region` and the explicit-stack traversals), free-name
 computation and substitution without one level of recursion per
-component."""
+component.  A wide sum and a long prefix chain are parsed and checked the
+same way."""
 
 import time
 from collections import Counter
+
+import pytest
 
 from multiccs.cli import main
 from multiccs.lts import Budget, build_lts
@@ -29,6 +32,19 @@ def test_a_wide_main_is_checked_normalized_and_decomposed():
     assert len(normalize(prog.main, prog.env).components) == WIDTH
     assert dec(prog.main, prog.env) == Counter(
         parse_term("a%d.0" % i) for i in range(WIDTH))
+
+
+@pytest.mark.parametrize("main", [
+    " + ".join("a%d.0" % i for i in range(WIDTH)), "a." * WIDTH + "0"],
+    ids=["sum", "chain"])
+def test_a_wide_sum_and_a_long_chain_are_read_and_checked(main):
+    # the parser reads both in loops; the check walks each sum and prefix
+    # once, on a stack
+    start = time.perf_counter()
+    prog = parse_program("main = %s;" % main)
+    assert check_wellformed(prog).ok
+    assert classify_finite_net(prog) == (True, "finite-net")
+    assert time.perf_counter() - start < 1
 
 
 def test_a_nested_restriction_ends_a_wide_main():
