@@ -1,8 +1,9 @@
 """Labeled transition system semantics.
 
 Moves are computed over a component multiset: every component contributes
-base moves (prefix, strong prefix, summand selection, constant unfolding),
-composed moves come from synchronizing disjoint sub-multisets pairwise,
+base moves by the rules of `Moves`, which `nets` shares (prefix, strong
+prefix, summand selection, constant unfolding), composed moves come from
+synchronizing disjoint sub-multisets pairwise,
 and a move escapes a restriction scope only if its label does not mention
 a bound name.  Because components live in one flattened multiset, all
 parallel association orders are covered without rewriting terms.  The
@@ -186,89 +187,110 @@ class Lts:
             "complete" if self.complete else "truncated")
 
 
-class StepEngine:
-    """Move computation with a per-component cache.
+class Moves:
+    """The move rules of a place (a sequential process or a constant),
+    for both semantics: `place_moves` gives its memoized (label, produced
+    Counter) moves, each once.  A prefix moves to `open(body)`; a strong
+    prefix puts its action before each label of its body's `body_moves`;
+    a constant moves as its body, a sum as its summands left to right.
+    `_busy` holds the bodies being unfolded: re-entering one violates
+    guardedness.  `truncated` sticks once a budget (the item cap, or
+    `max_seq_len` in general mode) has cut a closure, as memoized moves
+    may carry the cut."""
 
-    `seq_moves` memoizes the moves of every sequential or constant
-    component.  Inside the engine `term_moves` is called only from there,
-    on a strong-prefix body or a constant's body, so each is computed once
-    per component that holds it.  `term_moves` itself keeps only the terms
-    still being computed; re-entering one means constant unfolding does
-    not pass a normal prefix, i.e. the input violates guardedness.  `truncated` is set once a budget (the closure
-    cap, or `max_seq_len` in general mode) has cut some closure short; it
-    stays set, as cached results may carry the cut.
-    """
-
-    def __init__(self, env: Env, mode: SyncMode = SyncMode.GENERAL,
-                 max_seq_len: int = DEFAULT_BUDGET.max_seq_len,
-                 strict: bool = False):
+    def __init__(self, env: Env, mode: SyncMode, max_seq_len: int,
+                 item_cap: int):
         self.env = env
         self.mode = mode
         self.max_seq_len = max_seq_len
-        self.strict = strict
+        self.item_cap = item_cap
         self.truncated = False
-        self._seq_cache: dict = {}
+        self._moves: dict = {}
         self._sync: dict = {}     # the memo of `closure`
         self._busy: set = set()
-        # splits regions; its "a#n" binder temporaries are unique for the
-        # engine's lifetime, so nested splits never shadow each other
-        self._names = NameGen(env, strict)
 
-    # -- base moves of a sequential or constant component ------------------
-
-    def seq_moves(self, t: Term) -> tuple:
-        hit = self._seq_cache.get(t)
-        if hit is not None:
-            return hit
-        if isinstance(t, Nil):
-            moves = ()
-        elif isinstance(t, Prefix):
-            moves = (((t.action,), t.body),)
-        elif isinstance(t, StrongPrefix):
-            moves = tuple(((t.action,) + label, cont)
-                          for label, cont in self.term_moves(t.body))
-        elif isinstance(t, Sum):
-            seen = dict.fromkeys(self.seq_moves(t.left))
-            seen.update(dict.fromkeys(self.seq_moves(t.right)))
-            moves = tuple(seen)
-        elif isinstance(t, Const):
-            moves = self.term_moves(self.env.body_of(t))
-        else:
-            raise MccsError("component is not sequential: %s" % t)
-        self._seq_cache[t] = moves
-        return moves
-
-    # -- moves of an arbitrary term ----------------------------------------
-
-    def term_moves(self, t: Term) -> tuple:
+    def _body_moves(self, t: Term):
         if t in self._busy:
             raise GuardednessError(
                 "constant unfolding does not reach a normal prefix in %s" % t)
         self._busy.add(t)
         try:
-            binders, comps = split_region(t, self._names)
-            comps = Counter(comps)
-            moves = tuple(dict.fromkeys(
-                (label, self.assemble(binders, comps, used, produced))
-                for used, label, produced in self.closure(comps, binders)))
+            return self.body_moves(t)
         finally:
             self._busy.discard(t)
+
+    def place_moves(self, p: Term) -> tuple:
+        hit = self._moves.get(p)
+        if hit is not None:
+            return hit
+        moves: dict = {}
+        stack = [p]     # a sum's left spine, walked in a loop
+        while stack:
+            t = stack.pop()
+            found = ()
+            if isinstance(t, Sum):
+                stack += (t.right, t.left)
+            elif t is not p:     # a summand: one memo, one set of names
+                found = self.place_moves(t)
+            elif isinstance(t, Prefix):
+                found = (((t.action,), self.open(t.body)),)
+            elif isinstance(t, StrongPrefix):
+                found = [((t.action,) + label, produced)
+                         for label, produced in self._body_moves(t.body)]
+            elif isinstance(t, Const):
+                found = self._body_moves(self.env.body_of(t))
+            elif not isinstance(t, Nil):
+                raise MccsError("not a place: %s" % format_term(t))
+            for label, produced in found:
+                # a repeat keeps the first position and takes the last
+                # Counter, whose order numbers a net's new places
+                moves[label, frozenset(produced.items())] = label, produced
+        moves = self._moves[p] = tuple(moves.values())
         return moves
 
-    def closure(self, comps: Counter, restricted=()) -> list:
-        """The pairwise closure over the components of new(restricted)
-        (comps), less the items whose label mentions a restricted name:
-        (used, label, produced) items, `produced` counting continuation
-        terms."""
+    def closure(self, bound: Counter, seeds: list | None = None,
+                cap: int | None = None) -> list:
+        """`closure` over `bound`, up to `cap` (or `item_cap`) items."""
         items, truncated = closure(
-            comps,
-            lambda c: [(label, Counter({cont: 1}))
-                       for label, cont in self.seq_moves(c)],
-            self.mode, self.max_seq_len, _MAX_ITEMS, memo=self._sync)
+            bound, self.place_moves, self.mode, self.max_seq_len,
+            self.item_cap if cap is None else cap, seeds, self._sync)
         self.truncated = self.truncated or truncated
-        blocked = set(restricted)
-        return [item for item in items
-                if not sequence_names(item[1]) & blocked] if blocked else items
+        return items
+
+
+def _escaping(items: list, restricted) -> list:
+    """The closure items whose label mentions no restricted name."""
+    blocked = set(restricted)
+    return [item for item in items
+            if not sequence_names(item[1]) & blocked] if blocked else items
+
+
+class StepEngine(Moves):
+    """Moves over terms; `term_moves` gives a term's (label, target)."""
+
+    def __init__(self, env: Env, mode: SyncMode = SyncMode.GENERAL,
+                 max_seq_len: int = DEFAULT_BUDGET.max_seq_len,
+                 strict: bool = False):
+        super().__init__(env, mode, max_seq_len, _MAX_ITEMS)
+        self.strict = strict
+        # splits regions; its "a#n" binder temporaries are unique for the
+        # engine's lifetime, so nested splits never shadow each other
+        self._names = NameGen(env, strict)
+
+    def open(self, body: Term) -> Counter:
+        return Counter({body: 1})
+
+    def body_moves(self, t: Term) -> list:
+        return [(label, Counter({target: 1}))
+                for label, target in self.term_moves(t)]
+
+    def term_moves(self, t: Term) -> tuple:
+        binders, comps = split_region(t, self._names)
+        comps = Counter(comps)
+        return tuple(dict.fromkeys(
+            (label, self.assemble(binders, comps, used, produced))
+            for used, label, produced in _escaping(self.closure(comps),
+                                                   binders)))
 
     @staticmethod
     def assemble(binders, comps: Counter, used: Counter,
@@ -397,7 +419,8 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
         comps = Counter(dict(counted))
         moves = dict.fromkeys(
             (label, successor(restricted, comps, used, produced))
-            for used, label, produced in engine.closure(comps, restricted))
+            for used, label, produced in _escaping(engine.closure(comps),
+                                                   restricted))
         return sorted(moves, key=lambda m: (label_key(m[0]), show(m[1])))
 
     init = _counted(normalize(program.main, env, strict))

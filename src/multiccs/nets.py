@@ -4,11 +4,12 @@ A term decomposes into a finite multiset of sequential processes (the
 initial marking); the places and transitions of its net are produced by a
 least fixpoint that alternates coverability analysis with transition
 derivation.  Transition derivation runs the pairwise closure `lts.closure`
-of the transition-system semantics over the places of a marking.  There,
-restricted names (the '#' name family, which `dec` substitutes for
-restriction binders on its `terms.region` walk) take the place of bound
-names: moves labeled with restricted actions may take part in
-synchronizations but never surface as net transitions.
+of the transition-system semantics over the places of a marking, with its
+move rules (`lts.Moves`): a place's move produces the marking that `dec`
+gives its continuation.  There, restricted names (the '#' name family,
+which `dec` substitutes for restriction binders on its `terms.region`
+walk) take the place of bound names: moves labeled with restricted actions
+may take part in synchronizations but never surface as net transitions.
 
 Each round of the fixpoint computes the maximal coverable markings with a
 Karp-Miller tree over the transitions discovered so far, so transitions
@@ -50,12 +51,11 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter, le
 
-from .lts import Budget, DEFAULT_BUDGET, Lts, closure, explore
+from .lts import Budget, DEFAULT_BUDGET, Lts, Moves, explore
 from .sync import SyncMode, auto_mode
 from .terms import (
-    Const, Env, FreshAllocator, GuardednessError, MccsError, Nil, Prefix,
-    Program, StrongPrefix, Sum, Term, format_term, label_key, region,
-    term_key,
+    Const, Env, FreshAllocator, GuardednessError, Nil, Program, Term,
+    label_key, region, term_key,
 )
 
 OMEGA = float("inf")
@@ -191,58 +191,27 @@ def _label_visible(label) -> bool:
     return all(not a.is_restricted for a in label)
 
 
-class NetBuilder:
-    """Least-fixpoint net construction for one program."""
+class NetBuilder(Moves):
+    """Least-fixpoint net construction; a place's move produces a marking."""
 
     def __init__(self, env: Env, mode: SyncMode, budget: Budget = DEFAULT_BUDGET):
-        self.env = env
-        self.mode = mode
+        super().__init__(env, mode, budget.max_seq_len,
+                         max(512, 4 * budget.max_transitions))
         self.budget = budget
         self.alloc = FreshAllocator()
-        self._moves: dict = {}
-        self._sync: dict = {}     # the memo of `closure`
-        self._busy: set = set()
-        self.item_cap = max(512, 4 * budget.max_transitions)
-        self.truncated_items = False
         # the last Karp-Miller tree, while a later search may resume it
         self._tree = None
 
-    # -- moves of a single place (labels may contain restricted actions) ----
+    # -- the moves of a place (labels may contain restricted actions) --------
 
-    def place_moves(self, p: Term) -> tuple:
-        hit = self._moves.get(p)
-        if hit is not None:
-            return hit
-        if p in self._busy:
-            raise GuardednessError("unguarded recursion at place %s" % p)
-        self._busy.add(p)
-        try:
-            moves = self._place_moves(p)
-        finally:
-            self._busy.discard(p)
-        self._moves[p] = moves
-        return moves
+    def open(self, body: Term) -> Counter:
+        return dec(body, self.env, self.alloc)
 
-    def _place_moves(self, p: Term) -> tuple:
-        if isinstance(p, Prefix):
-            return (((p.action,), dec(p.body, self.env, self.alloc)),)
-        if isinstance(p, StrongPrefix):
-            marking = dec(p.body, self.env, self.alloc)
-            out = {}
-            for used, label, produced in self.derive_items(marking):
-                rest = marking - used
-                rest.update(produced)
-                out[((p.action,) + label, frozenset(rest.items()))] = rest
-            return tuple((label, rest) for (label, _), rest in out.items())
-        if isinstance(p, Sum):
-            merged = {}
-            for side in (p.left, p.right):
-                for label, produced in self.place_moves(side):
-                    merged[(label, frozenset(produced.items()))] = produced
-            return tuple((label, produced) for (label, _), produced in merged.items())
-        if isinstance(p, Nil):
-            return ()
-        raise MccsError("not a place: %s" % format_term(p))
+    def body_moves(self, t: Term) -> list:
+        """The closure over dec(t), each item with the rest of dec(t)."""
+        marking = self.open(t)
+        return [(label, marking - used + produced)
+                for used, label, produced in self.derive_items(marking)]
 
     # -- transitions derivable inside a marking ------------------------------
 
@@ -275,11 +244,7 @@ class NetBuilder:
             for p in sorted(here, key=term_key):
                 self.place_moves(p)
             unmet.difference_update(here)
-        items, truncated = closure(
-            join, self.place_moves, self.mode, self.budget.max_seq_len,
-            self.item_cap if cap is None else cap, seeds, self._sync)
-        self.truncated_items = self.truncated_items or truncated
-        return items
+        return self.closure(join, seeds, cap)
 
     def _round_items(self, seeds: list, join: Counter) -> list:
         """The visible items of one fixpoint round, whose seeds have the
@@ -323,7 +288,7 @@ class NetBuilder:
         fits = all([register(p) for p in m0])
         complete = fits
         transitions: dict = {}
-        self.truncated_items = False
+        self.truncated = False
         last_seeds = None
 
         while fits:
@@ -367,12 +332,12 @@ class NetBuilder:
                     complete = False
                     continue
                 grew = True
-            complete = complete and not self.truncated_items
+            complete = complete and not self.truncated
             if not grew or not complete:
                 break
 
         if (fits and not km_complete and len(order) == known_places
-                and not self.truncated_items):
+                and not self.truncated):
             # the structure stopped growing before the marking search could
             # saturate: decide enabledness exactly instead.  After a cut by
             # a place or transition cap alone the tree was complete, and
@@ -532,7 +497,7 @@ class NetBuilder:
             seed = Counter({p: OMEGA for p in known})
             cand = [it for it in self.derive_items(seed, cap=item_cap)
                     if _label_visible(it[1])]
-            if self.truncated_items:
+            if self.truncated:
                 return None
             fresh = [p for _, _, produced in cand
                      for p in sorted(produced, key=term_key)

@@ -252,7 +252,13 @@ def format_term(t: Term, level: int = 0) -> str:
             act = "<%s>" % act
         return "%s.%s" % (act, format_term(t.body, 3))
     if isinstance(t, Sum):
-        s = "%s + %s" % (format_term(t.left, 2), format_term(t.right, 3))
+        # the left spine in a loop: a left operand prints unbracketed
+        rights = []
+        while isinstance(t, Sum):
+            rights.append(format_term(t.right, 3))
+            t = t.left
+        rights.append(format_term(t, 2))
+        s = " + ".join(reversed(rights))
         return "(%s)" % s if level >= 3 else s
     if isinstance(t, Par):
         parts = []

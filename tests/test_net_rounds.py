@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+import multiccs.lts
 import multiccs.nets
 from multiccs.lts import Budget, closure
 from multiccs.net2term import translate
@@ -145,14 +146,14 @@ def test_translated_ring_derives_few_closure_items(monkeypatch):
     # ring of 8 has 47 maximal markings in its last round
     prog = translate(philosophers_ring(8))
     items = []
-    real = multiccs.nets.closure
+    real = multiccs.lts.closure
 
     def counting(*args, **kwargs):
         result = real(*args, **kwargs)
         items.extend(result[0])
         return result
 
-    monkeypatch.setattr(multiccs.nets, "closure", counting)
+    monkeypatch.setattr(multiccs.lts, "closure", counting)
     net = build_net(prog, SyncMode.FINITE_NET)
     assert net.complete and len(net.transitions) == 16
     assert 0 < len(items) <= 200

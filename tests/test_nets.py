@@ -8,7 +8,7 @@ import pytest
 
 import multiccs.lts
 import multiccs.nets
-from multiccs.lts import Budget
+from multiccs.lts import Budget, build_lts
 from multiccs.nets import (
     NetBuilder, PTNet, build_net, dec, format_marking, is_reduced, is_safe,
     marking_graph,
@@ -89,6 +89,29 @@ class TestDecomposition:
     def test_unguarded_constant_is_reported(self):
         with pytest.raises(GuardednessError):
             self.dec_of("K", defs="K = K | a.0; ")
+
+
+@pytest.mark.parametrize("text", [
+    "K = <a>.K; main = K;",
+    "K = <a>.(K | b.0); main = K;",
+    "K = <a>.K + c.0; main = b.K;",
+    # ill-formed: neither constant reaches a prefix
+    "P = Q + a.0; Q = P + b.0; main = P;",
+])
+@pytest.mark.parametrize("semantics", [build_lts, build_net],
+                         ids=["lts", "net"])
+def test_unguarded_recursion_is_refused_by_both_semantics(semantics, text):
+    # both take their moves from `lts.Moves`, whose guard refuses to
+    # re-enter a body it is unfolding
+    with pytest.raises(GuardednessError, match="does not reach a normal"):
+        semantics(parse_program(text))
+
+
+def test_a_repeated_move_keeps_the_marking_of_its_last_occurrence():
+    # both summands move by a to b.0 | c.0, which is kept once, with the
+    # marking of the last summand: its order numbers the new places
+    net = build_net(parse_program("main = a.(b.0 | c.0) + a.(c.0 | b.0);"))
+    assert [str(t) for t in net.place_terms[1:]] == ["c.0", "b.0"]
 
 
 class TestTokenGame:
@@ -219,7 +242,7 @@ class TestBuiltNets:
         items = builder.derive_items(dec(prog.main, prog.env))
         assert sorted(format_sequence(label) for _, label, _ in items) \
             == ["a", "tau", "~a"]
-        assert not builder.truncated_items
+        assert not builder.truncated
 
     def fallback_build(self, monkeypatch, budget):
         # four independent two-step sequences: 81 reachable markings, far

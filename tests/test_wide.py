@@ -3,7 +3,7 @@ components, nested to the left as the parser builds it, goes through every
 region walk (`terms.region` and the explicit-stack traversals), free-name
 computation and substitution without one level of recursion per
 component.  A wide sum and a long prefix chain are parsed and checked the
-same way."""
+same way, and the move rules and the printer walk a wide sum in a loop."""
 
 import time
 from collections import Counter
@@ -11,12 +11,13 @@ from collections import Counter
 import pytest
 
 from multiccs.cli import main
-from multiccs.lts import Budget, build_lts
-from multiccs.nets import build_net, dec
+from multiccs.lts import Budget, StepEngine, build_lts
+from multiccs.nets import NetBuilder, build_net, dec
 from multiccs.normalform import normalize
 from multiccs.parser import parse_program, parse_term
+from multiccs.sync import SyncMode
 from multiccs.terms import (Const, check_wellformed, classify_finite_net,
-                            format_term, free_names)
+                            format_sequence, format_term, free_names)
 
 WIDTH = 10_000
 
@@ -44,6 +45,30 @@ def test_a_wide_sum_and_a_long_chain_are_read_and_checked(main):
     prog = parse_program("main = %s;" % main)
     assert check_wellformed(prog).ok
     assert classify_finite_net(prog) == (True, "finite-net")
+    assert time.perf_counter() - start < 1
+
+
+WIDE_SUM = " + ".join("a%d.0" % i for i in range(WIDTH))
+
+
+@pytest.mark.parametrize("engine", [
+    StepEngine, lambda env: NetBuilder(env, SyncMode.FINITE_NET)],
+    ids=["lts", "net"])
+def test_a_wide_sum_moves_as_its_summands_in_order(engine):
+    # both semantics take a sum's moves from one set of rules, which walks
+    # the sum's left spine in a loop
+    prog = parse_program("main = %s;" % WIDE_SUM)
+    start = time.perf_counter()
+    moves = engine(prog.env).place_moves(prog.main)
+    assert time.perf_counter() - start < 1
+    assert [format_sequence(label) for label, _ in moves] == [
+        "a%d" % i for i in range(WIDTH)]
+
+
+def test_a_wide_sum_prints_as_written():
+    term = parse_term(WIDE_SUM)
+    start = time.perf_counter()
+    assert format_term(term) == WIDE_SUM
     assert time.perf_counter() - start < 1
 
 
