@@ -19,10 +19,10 @@ counted components, minus the moves whose label mentions one of its
 restricted names; `step` stays as an independent oracle and is never run
 on a state.  In a state without restricted names a move rewrites only what
 it consumes: the successor is the state minus the used components plus
-the canonical components of the continuations, and each continuation is
-normalized once per build.  Binder naming is global to a state, so a move
-of a state with restricted names, or one whose continuation extrudes a
-restriction, normalizes its whole target term, once per target per build.
+the canonical components of the continuations.  Binder naming is global
+to a state, so a move of a state with restricted names, or one whose
+continuation extrudes a restriction, normalizes its whole target term.
+One memo normalizes each continuation and whole target once per build.
 `explore` is the one breadth-first search, here and for the marking graph
 analyses in `nets`.
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .normalform import (
-    NameGen, NormalForm, component_order, format_state, normalize,
+    NormalForm, component_order, context, format_state, normalize,
     split_region,
 )
 from .sync import SyncMode, sync_outcomes
@@ -273,9 +273,6 @@ class StepEngine(Moves):
                  strict: bool = False):
         super().__init__(env, mode, max_seq_len, _MAX_ITEMS)
         self.strict = strict
-        # splits regions; its "a#n" binder temporaries are unique for the
-        # engine's lifetime, so nested splits never shadow each other
-        self._names = NameGen(env, strict)
 
     def open(self, body: Term) -> Counter:
         return Counter({body: 1})
@@ -285,7 +282,7 @@ class StepEngine(Moves):
                 for label, target in self.term_moves(t)]
 
     def term_moves(self, t: Term) -> tuple:
-        binders, comps = split_region(t, self._names)
+        binders, comps = split_region(t, context(self.env, self.strict))
         comps = Counter(comps)
         return tuple(dict.fromkeys(
             (label, self.assemble(binders, comps, used, produced))
@@ -366,9 +363,7 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
     order: dict = {}      # component -> normal-form sort key
     printed: dict = {}    # component -> its text
     texts: dict = {}      # state -> its text
-    conts_nf: dict = {}   # continuation -> counted components, or None
-                          # when it extrudes a restriction
-    targets: dict = {}    # whole target term -> its state
+    normal: dict = {}     # continuation or whole target -> its state
 
     def show(state) -> str:
         text = texts.get(state)
@@ -389,30 +384,26 @@ def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
             key = order[c] = component_order(c, env, strict)
         return key
 
-    def canon(cont):
-        if cont not in conts_nf:
-            nf = normalize(cont, env, strict)
-            conts_nf[cont] = None if nf.restricted else _counted(nf)[1]
-        return conts_nf[cont]
+    def canon(t):
+        state = normal.get(t)
+        if state is None:
+            state = normal[t] = _counted(normalize(t, env, strict))
+        return state
 
     def successor(restricted, comps: Counter, used: Counter,
                   produced: Counter):
         if not restricted:
             nxt = comps - used
             for cont, n in produced.items():
-                parts = canon(cont)
-                if parts is None:
+                extruded, parts = canon(cont)
+                if extruded:
                     break
                 for c, m in parts:
                     nxt[c] += n * m
             else:
                 return (), tuple(sorted(nxt.items(), key=rank))
         # binder naming is global to the state
-        target = StepEngine.assemble(restricted, comps, used, produced)
-        state = targets.get(target)
-        if state is None:
-            state = targets[target] = _counted(normalize(target, env, strict))
-        return state
+        return canon(StepEngine.assemble(restricted, comps, used, produced))
 
     def successors(state) -> list:
         restricted, counted = state

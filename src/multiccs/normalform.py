@@ -14,11 +14,11 @@ well; all of the above changes the term at most up to strong bisimilarity.
 strict=True keeps dead components and unused restrictions.
 
 Name families (all disjoint from parseable names):
-  "a#%d"  unique temporaries of one `NameGen`, drawn from the generated
-          family of `terms.FreshAllocator`: while canonicalizing, and the
-          binders of the target terms a `lts.StepEngine` assembles (never
-          in a normal form; substitution alpha-converts any clash between
-          the two),
+  "a#%d"  unique temporaries of a program's normalization context, drawn
+          from the generated family of `terms.FreshAllocator`: while
+          canonicalizing, and the binders of the target terms a
+          `lts.StepEngine` assembles (never in a normal form;
+          substitution alpha-converts any clash between the two),
   "ν%d"   canonical names bound at the top of a normal form,
   "β%d"   canonical bound names inside a component.
 
@@ -52,15 +52,15 @@ one level per binder would give them; and a level of the search that
 tries one candidate does not render it.  The colours, and so the keys,
 are those of the unpruned search.
 
-Each region is canonicalized once: its skeleton depends only on its
-unopened body, depth and the tokens of the body's free names, and `_skel`
-memoizes it under those before opening the body (which is opened once
-per `NameGen`, so its nested regions stay the same terms).  That
-skeleton holds every binder's final colour, so `normalize` reads the
-canonical term off the skeleton of the whole term (`_term_of`) rather
-than renaming and sorting each region again.  The refinement loop,
-`_refine`, is the only one in the package: `equiv` colours net places
-with it.
+A program's `Env` keeps one `NameGen` per mode (`context`), which
+`normalize`, `component_order` and `lts.StepEngine` read: each region is
+canonicalized once per program and mode.  Its skeleton depends only on
+its unopened body, depth and the tokens of its free names; `_skel`
+memoizes it under those before opening the body (once per context, so
+nested regions stay the same terms).  It holds every binder's final
+colour, so `normalize` reads the canonical term off the whole term's
+skeleton (`_term_of`) instead of renaming and sorting each region again.
+`equiv` colours net places with `_refine`, the one refinement loop.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import count
+from weakref import ref
 
 from .terms import (
     NIL, TAU_ACT, Const, Env, FreshAllocator, Nil, Prefix, Restrict,
@@ -105,12 +106,11 @@ def format_state(restricted, texts) -> str:
 
 
 class NameGen(FreshAllocator):
-    """Temporary names; free-name, split and skeleton memos: one per
-    normalization, or one for the lifetime of a `lts.StepEngine`."""
+    """Temporary names; free-name, split and skeleton memos of one env."""
 
     def __init__(self, env: Env, strict: bool):
         super().__init__()
-        self.env = env
+        self.env = ref(env)     # weak: env keeps its contexts (`context`)
         self.strict = strict
         self.memo: dict = {}
         self._fns: dict = {}
@@ -120,12 +120,19 @@ class NameGen(FreshAllocator):
         """The free names of t, sorted."""
         hit = self._fns.get(t)
         if hit is None:
-            hit = self._fns[t] = tuple(sorted(free_names(t, self.env)))
+            hit = self._fns[t] = tuple(sorted(free_names(t, self.env())))
         return hit
 
 
+def context(env: Env, strict: bool) -> NameGen:
+    """The one normalization context of env in mode strict, kept by env."""
+    if strict not in env._contexts:
+        env._contexts[strict] = NameGen(env, strict)
+    return env._contexts[strict]
+
+
 def normalize(t: Term, env: Env, strict: bool = False) -> NormalForm:
-    _, n, skels = _skel_region(t, {}, 0, NameGen(env, strict))
+    _, n, skels = _skel_region(t, {}, 0, context(env, strict))
     names = tuple(NU + str(k + 1) for k in range(n))
     tokens = {("v", 0, ("c", k)): name for k, name in enumerate(names)}
     return NormalForm(names, tuple(_term_of(c, tokens, 1, count(1))
@@ -136,7 +143,7 @@ def component_order(c: Term, env: Env, strict: bool = False):
     """Sort key of a component at the top of a normal form without
     restrictions: `normalize` lists such components in increasing order
     of it, and distinct canonical components have distinct keys."""
-    return _skel(c, {}, 1, NameGen(env, strict))
+    return _skel(c, {}, 1, context(env, strict))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +166,7 @@ def split_region(t: Term, gen: NameGen):
         return gen.fresh(name) if gen.strict or name in gen.fns(body) else None
 
     binders: list = []
-    comps = [u for u in region(t, gen.env, fresh, binders)
+    comps = [u for u in region(t, gen.env(), fresh, binders)
              if gen.strict or not isinstance(u, Nil)]
     hit = gen.splits[t] = binders, comps
     return hit
@@ -190,9 +197,15 @@ def _skel(t: Term, scope: dict, depth: int, gen: NameGen):
         if body is None:
             body = gen.memo[key] = _skel_region(t.body, scope, depth, gen)
         return (tag, akey, body)
-    if isinstance(t, Sum):
-        return (3, _skel(t.left, scope, depth, gen),
-                _skel(t.right, scope, depth, gen))
+    if isinstance(t, Sum):     # the left spine in a loop, nested as written
+        rights = []
+        while isinstance(t, Sum):
+            rights.append(t.right)
+            t = t.left
+        skel = _skel(t, scope, depth, gen)
+        for u in reversed(rights):
+            skel = (3, skel, _skel(u, scope, depth, gen))
+        return skel
     if isinstance(t, Const):
         pairs = tuple(sorted((old, _slot(new, scope))
                              for old, new in t.renaming))
@@ -209,8 +222,14 @@ def _term_of(skel: tuple, tokens: dict, depth: int, counter) -> Term:
     if tag == 0:
         return NIL
     if tag == 3:
-        return Sum(_term_of(skel[1], tokens, depth, counter),
-                   _term_of(skel[2], tokens, depth, counter))
+        rights = []
+        while skel[0] == 3:
+            rights.append(skel[2])
+            skel = skel[1]
+        t = _term_of(skel, tokens, depth, counter)
+        for u in reversed(rights):
+            t = Sum(t, _term_of(u, tokens, depth, counter))
+        return t
     if tag == 6:
         return Const(skel[1], tuple((old, _name(slot, tokens))
                                     for old, slot in skel[2]))

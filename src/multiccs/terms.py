@@ -180,27 +180,31 @@ NIL = Nil()
 
 
 def term_key(t: Term):
-    """Total structural order on terms (used for canonical sorting)."""
-    k = t.__dict__.get("_k")
-    if k is None:
-        k = _term_key(t)
-        object.__setattr__(t, "_k", k)
-    return k
+    """Total structural order on terms, kept on each node; no recursion."""
+    try:
+        return t._k
+    except AttributeError:
+        todo, stack = [], [t]     # unkeyed nodes, each before its children
+    while stack:
+        u = stack.pop()
+        if "_k" not in u.__dict__:
+            todo.append(u)
+            stack += filter(None, map(u.__dict__.get,
+                                      ("left", "right", "body")))
+    for u in reversed(todo):
+        object.__setattr__(u, "_k", _term_key(u))
+    return t._k
 
 
 def _term_key(t: Term):
     if isinstance(t, Nil):
         return (0,)
-    if isinstance(t, Prefix):
-        return (1, t.action.key(), term_key(t.body))
-    if isinstance(t, StrongPrefix):
-        return (2, t.action.key(), term_key(t.body))
-    if isinstance(t, Sum):
-        return (3, term_key(t.left), term_key(t.right))
-    if isinstance(t, Par):
-        return (4, term_key(t.left), term_key(t.right))
+    if isinstance(t, (Prefix, StrongPrefix)):
+        return (1 if isinstance(t, Prefix) else 2, t.action.key(), t.body._k)
+    if isinstance(t, (Sum, Par)):
+        return (3 if isinstance(t, Sum) else 4, t.left._k, t.right._k)
     if isinstance(t, Restrict):
-        return (5, t.name, term_key(t.body))
+        return (5, t.name, t.body._k)
     if isinstance(t, Const):
         return (6, t.name, t.renaming)
     raise TypeError("not a term: %r" % (t,))
@@ -289,16 +293,17 @@ def format_term(t: Term, level: int = 0) -> str:
 
 @dataclass
 class Env:
-    """Constant definitions plus caches for derived (renamed) bodies."""
+    """Constant definitions plus caches of facts derived from them."""
 
     defs: dict = field(default_factory=dict)
     _bodies: dict = field(default_factory=dict, repr=False, compare=False)
     _base_free: dict = field(default_factory=dict, repr=False, compare=False)
+    _contexts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def define(self, name: str, body: Term):
         self.defs[name] = body
-        self._bodies.clear()
-        self._base_free.clear()
+        for cache in (self._bodies, self._base_free, self._contexts):
+            cache.clear()
 
     def base_body(self, name: str) -> Term:
         try:

@@ -7,9 +7,10 @@ from collections import deque
 import pytest
 
 import multiccs.lts as lts_module
+import multiccs.terms as terms_module
 from multiccs.lts import Budget, StepEngine, build_lts, step
 from multiccs.normalform import normalize
-from multiccs.parser import parse_program, parse_term
+from multiccs.parser import format_program, parse_program, parse_term
 from multiccs.sync import SyncMode
 from multiccs.terms import (
     GuardednessError, TAU_ACT, act_in, act_out, check_wellformed,
@@ -190,6 +191,23 @@ class TestNamedSystems:
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 4
 
+    def test_a_chain_walks_each_level_for_its_free_names_once(
+            self, monkeypatch):
+        # every normalization of a program reads one context, which keeps
+        # the free names of each level; a context per call walked every
+        # level below each state again, 40,000 walks at 200 actions
+        calls = []
+        real = terms_module._free
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(terms_module, "_free", counting)
+        l = lts_of("main = %s0;" % ("a." * 200))
+        assert (len(l.states), l.complete) == (201, True)
+        assert len(calls) <= 400
+
 
 def bfs_over_step(program, mode, budget, strict):
     """Reference exploration: the term-level step() on whole normal forms,
@@ -252,6 +270,21 @@ class TestAgainstStepOracle:
     def test_seeded_programs(self, mode, strict):
         for prog in seeded_programs(30):
             assert_same_as_step_bfs(prog, mode, strict)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+@pytest.mark.parametrize("name", WELL_FORMED_CORPUS + ["seeded"])
+def test_a_warm_context_changes_no_system(name, strict):
+    # a program's normalizations share one context per mode, kept by its
+    # Env: a second build reads the first one's memos, a parsed copy
+    # starts from none, and all three give the same system
+    progs = (seeded_programs(20) if name == "seeded"
+             else [load_program(name)])
+    for prog in progs:
+        builds = [build_lts(p, budget=DIFF_BUDGET, strict=strict) for p in
+                  (prog, prog, parse_program(format_program(prog)))]
+        assert len({(tuple(l.states), tuple(l.transitions))
+                    for l in builds}) == 1
 
 
 class TestStepAndDeterminism:

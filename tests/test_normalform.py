@@ -553,3 +553,17 @@ def test_region_temporaries_are_generated_names(env):
         parse_term("new(a) new(b) (a.~b.0 | ~a.0 | b.K1)"), gen)
     assert binders == ["a#1", "b#2"]
     assert "#" not in key_of("new(a) new(b) (a.~b.0 | ~a.0 | b.K1)", env)
+
+
+def test_a_program_normalizes_through_one_context_per_mode(env):
+    # `normalize`, `component_order` and the engines all read the context
+    # env keeps for each mode; redefining a constant clears it, since the
+    # memos hold free names that unfold constants
+    assert normalform.context(env, False) is normalform.context(env, False)
+    assert normalform.context(env, False) is not normalform.context(env, True)
+    term = parse_term("new(x) K3")
+    env.define("K3", parse_term("a.0"))
+    assert key_of("new(x) K3", env) == "K3"
+    env.define("K3", parse_term("x.0"))
+    fresh = Env(dict(env.defs))
+    assert key_of("new(x) K3", env) == normalize(term, fresh).key() != "K3"

@@ -3,8 +3,10 @@ components, nested to the left as the parser builds it, goes through every
 region walk (`terms.region` and the explicit-stack traversals), free-name
 computation and substitution without one level of recursion per
 component.  A wide sum and a long prefix chain are parsed and checked the
-same way, and the move rules and the printer walk a wide sum in a loop."""
+same way, and the move rules and the printer walk a wide sum in a loop,
+as do term keys and normal forms."""
 
+import sys
 import time
 from collections import Counter
 
@@ -63,6 +65,23 @@ def test_a_wide_sum_moves_as_its_summands_in_order(engine):
     assert time.perf_counter() - start < 1
     assert [format_sequence(label) for label, _ in moves] == [
         "a%d" % i for i in range(WIDTH)]
+
+
+@pytest.mark.parametrize("build", [build_lts, build_net], ids=["lts", "net"])
+def test_a_wide_sum_builds_at_the_default_recursion_limit(build):
+    # term keys, skeletons and canonical terms walk a sum's left spine in
+    # a loop; each summand moves to 0, which lax mode drops
+    prog = parse_program("main = %s;" % " + ".join(
+        "a%d.0" % i for i in range(1500)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        start = time.perf_counter()
+        out = build(prog)
+        assert time.perf_counter() - start < 2
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (len(out.transitions), out.complete) == (1500, True)
 
 
 def test_a_wide_sum_prints_as_written():
