@@ -7,10 +7,12 @@ synchronizing disjoint sub-multisets pairwise,
 and a move escapes a restriction scope only if its label does not mention
 a bound name.  Because components live in one flattened multiset, all
 parallel association orders are covered without rewriting terms.  The
-pairwise closure (`closure`) is the one place where moves combine, for
-this semantics and for the net semantics in `nets`: it yields each move as
-the components it uses, its label and the continuations it produces.  The
-term-level `step` assembles a target term from them and normalizes it.
+pairwise closure (`Moves.closure`) is the one place where moves combine,
+for this semantics and for the net semantics in `nets`: it yields each
+move as the components it uses, its label and the continuations it
+produces, and it keeps its engine's synchronization memo, item cap and
+truncation flag.  The term-level `step` assembles a target term from them
+and normalizes it.
 
 `build_lts` explores a state as its top-level restricted names plus the
 counted multiset of its canonical components, (component, count) pairs in
@@ -63,111 +65,9 @@ DEFAULT_BUDGET = Budget()
 _MAX_ITEMS = 200000
 
 
-def _acts(label) -> frozenset:
-    return frozenset(a.key() for a in label if not a.is_tau)
-
-
-def _coacts(label) -> frozenset:
-    return frozenset(a.complement().key() for a in label if not a.is_tau)
-
-
-def closure(bound: Counter, base, mode: SyncMode, max_seq_len: int,
-            cap: int, seeds: list | None = None,
-            memo: dict | None = None) -> tuple:
-    """The pairwise synchronization closure over the multiset `bound`.
-
-    base(component) gives the (label, produced) moves of one component,
-    `produced` a Counter.  The result is (items, truncated): items are
-    (used, label, produced) triples with `used` below `bound`, in discovery
-    order -- the base moves of the components in `term_key` order, then
-    every synchronization of two items that fit in `bound` together.
-    Restriction is not applied here.  `truncated` is set when a
-    general-mode synchronization longer than max_seq_len was dropped, or
-    when the closure reached `cap` items and stopped.
-
-    With `seeds`, a list of multisets whose join is `bound`, two items
-    merge only if the merged preset lies below some seed -- not merely
-    below `bound`, which would pair components no seed holds together --
-    and every item gets a fourth field, the seeds it lies below as a
-    bitmask (bit i for seeds[i]).  A merge below a seed has both halves
-    below it, so the items below seeds[i] are, in order, exactly the
-    closure over seeds[i] alone, and `truncated` is the OR of the
-    per-seed flags.  `cap` bounds the one shared closure, so it can stop
-    a closure over seeds none of which would reach it alone.  `memo` maps
-    label pairs to their synchronizations under `mode`, sorted by
-    `label_key`; a caller keeps one across calls (a fresh one without).
-    """
-    memo = {} if memo is None else memo
-    items: dict = {}
-    queue = deque()
-    truncated = False
-    covers: dict = {}
-    held: dict = {}     # component -> (count, seed bit) of each seed holding it
-    for i, seed in enumerate(seeds or ()):
-        for s, n in seed.items():
-            held.setdefault(s, []).append((n, 1 << i))
-
-    def cover(s, n) -> int:
-        """The seeds that hold n copies of s, as a bitmask."""
-        if seeds is None:
-            return 1 if bound[s] >= n else 0
-        hit = covers.get((s, n))
-        if hit is None:
-            hit = covers[s, n] = sum(bit for m, bit in held.get(s, ())
-                                     if m >= n)
-        return hit
-
-    def add(used, label, produced, below) -> bool:
-        """Record an item; False, with the queue cleared, at the cap."""
-        key = (frozenset(used.items()), label, frozenset(produced.items()))
-        if key in items:
-            return True
-        if len(items) >= cap:
-            queue.clear()
-            return False
-        items[key] = (used, label, produced, _acts(label), _coacts(label),
-                      below)
-        queue.append(key)
-        return True
-
-    def result() -> list:
-        if seeds is None:
-            return [item[:3] for item in items.values()]
-        return [item[:3] + item[5:] for item in items.values()]
-
-    for c in sorted(bound, key=term_key):
-        for label, produced in base(c):
-            if not add(Counter({c: 1}), label, produced, cover(c, 1)):
-                truncated = True
-
-    while queue:
-        used1, lab1, prod1, _, co1, below1 = items[queue.popleft()]
-        for used2, lab2, prod2, acts2, _, below2 in list(items.values()):
-            if not co1 & acts2:
-                # every synchronization cancels at least one
-                # complementary pair of actions
-                continue
-            # each half lies below the seeds in its mask; only the
-            # components both halves use can overflow a seed
-            below = below1 & below2
-            for s in used1:
-                if not below:
-                    break
-                if s in used2:
-                    below &= cover(s, used1[s] + used2[s])
-            if not below:
-                continue
-            merged = used1 + used2
-            outs = memo.get((lab1, lab2))
-            if outs is None:
-                outs = memo[lab1, lab2] = sorted(
-                    sync_outcomes(lab1, lab2, mode), key=label_key)
-            for lab3 in outs:
-                if mode is SyncMode.GENERAL and len(lab3) > max_seq_len:
-                    truncated = True
-                elif not add(merged, lab3, prod1 + prod2, below):
-                    return result(), True
-    return result(), truncated
+def _item_key(used: Counter, label, produced: Counter) -> tuple:
+    """The identity of a closure item: its preset, label and postset."""
+    return frozenset(used.items()), label, frozenset(produced.items())
 
 
 @dataclass
@@ -206,7 +106,7 @@ class Moves:
         self.item_cap = item_cap
         self.truncated = False
         self._moves: dict = {}
-        self._sync: dict = {}     # the memo of `closure`
+        self._sync: dict = {}     # label pairs' synchronizations
         self._busy: set = set()
 
     def _body_moves(self, t: Term):
@@ -250,12 +150,115 @@ class Moves:
 
     def closure(self, bound: Counter, seeds: list | None = None,
                 cap: int | None = None) -> list:
-        """`closure` over `bound`, up to `cap` (or `item_cap`) items."""
-        items, truncated = closure(
-            bound, self.place_moves, self.mode, self.max_seq_len,
-            self.item_cap if cap is None else cap, seeds, self._sync)
-        self.truncated = self.truncated or truncated
-        return items
+        """The pairwise synchronization closure over the multiset `bound`,
+        up to `cap` (or `item_cap`) items.
+
+        Items are (used, label, produced) triples with `used` below
+        `bound`, in discovery order -- the `place_moves` of the components
+        in `term_key` order, then every synchronization of two items that
+        fit in `bound` together.  Restriction is not applied here.
+        `truncated` is set when a general-mode synchronization longer than
+        `max_seq_len` was dropped, or when the closure reached the cap and
+        stopped.
+
+        With `seeds`, a list of multisets whose join is `bound`, two items
+        merge only if the merged preset lies below some seed -- not merely
+        below `bound`, which would pair components no seed holds together --
+        and every item gets a fourth field, the seeds it lies below as a
+        bitmask (bit i for seeds[i]).  A merge below a seed has both halves
+        below it, so the items below seeds[i] are, in order, exactly the
+        closure over seeds[i] alone, and it is truncated if one of those
+        would be.  Place moves may allocate names (`nets`), so the places
+        with no memoized moves are met seed by seed, each seed's in
+        `term_key` order, as one closure per seed would meet them.  The
+        cap bounds the one shared closure, so it can stop a closure over
+        seeds none of which would reach it alone.  `_sync` maps label
+        pairs to their synchronizations under `mode`, sorted by
+        `label_key`."""
+        moves, memo, mode = self.place_moves, self._sync, self.mode
+        cap = self.item_cap if cap is None else cap
+        max_seq_len = self.max_seq_len
+        items: dict = {}
+        queue = deque()
+        truncated = False
+        covers: dict = {}
+        held: dict = {}     # component -> (count, seed bit) of each seed
+        if seeds is not None:
+            unmet = {p for p in bound if p not in self._moves}
+            for i, seed in enumerate(seeds):
+                here = [p for p in seed if p in unmet]
+                for p in sorted(here, key=term_key):
+                    moves(p)
+                unmet.difference_update(here)
+                for s, n in seed.items():
+                    held.setdefault(s, []).append((n, 1 << i))
+
+        def cover(s, n) -> int:
+            """The seeds that hold n copies of s, as a bitmask."""
+            if seeds is None:
+                return 1 if bound[s] >= n else 0
+            hit = covers.get((s, n))
+            if hit is None:
+                hit = covers[s, n] = sum(bit for m, bit in held.get(s, ())
+                                         if m >= n)
+            return hit
+
+        def add(used, label, produced, below) -> bool:
+            """Record an item; False, with the queue cleared, at the cap."""
+            key = _item_key(used, label, produced)
+            if key in items:
+                return True
+            if len(items) >= cap:
+                queue.clear()
+                return False
+            acts = [a for a in label if not a.is_tau]
+            items[key] = (used, label, produced,
+                          frozenset(a.key() for a in acts),
+                          frozenset(a.complement().key() for a in acts),
+                          below)
+            queue.append(key)
+            return True
+
+        def result(cut: bool) -> list:
+            if cut:
+                self.truncated = True
+            if seeds is None:
+                return [item[:3] for item in items.values()]
+            return [item[:3] + item[5:] for item in items.values()]
+
+        for c in sorted(bound, key=term_key):
+            for label, produced in moves(c):
+                if not add(Counter({c: 1}), label, produced, cover(c, 1)):
+                    truncated = True
+
+        while queue:
+            used1, lab1, prod1, _, co1, below1 = items[queue.popleft()]
+            for used2, lab2, prod2, acts2, _, below2 in list(items.values()):
+                if not co1 & acts2:
+                    # every synchronization cancels at least one
+                    # complementary pair of actions
+                    continue
+                # each half lies below the seeds in its mask; only the
+                # components both halves use can overflow a seed
+                below = below1 & below2
+                for s in used1:
+                    if not below:
+                        break
+                    if s in used2:
+                        below &= cover(s, used1[s] + used2[s])
+                if not below:
+                    continue
+                merged = used1 + used2
+                outs = memo.get((lab1, lab2))
+                if outs is None:
+                    outs = memo[lab1, lab2] = sorted(
+                        sync_outcomes(lab1, lab2, mode), key=label_key)
+                for lab3 in outs:
+                    if mode is SyncMode.GENERAL and len(lab3) > max_seq_len:
+                        truncated = True
+                    elif not add(merged, lab3, prod1 + prod2, below):
+                        return result(True)
+        return result(truncated)
 
 
 def _escaping(items: list, restricted) -> list:

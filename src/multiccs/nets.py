@@ -3,13 +3,14 @@
 A term decomposes into a finite multiset of sequential processes (the
 initial marking); the places and transitions of its net are produced by a
 least fixpoint that alternates coverability analysis with transition
-derivation.  Transition derivation runs the pairwise closure `lts.closure`
-of the transition-system semantics over the places of a marking, with its
-move rules (`lts.Moves`): a place's move produces the marking that `dec`
-gives its continuation.  There, restricted names (the '#' name family,
-which `dec` substitutes for restriction binders on its `terms.region`
-walk) take the place of bound names: moves labeled with restricted actions
-may take part in synchronizations but never surface as net transitions.
+derivation.  Transition derivation runs the pairwise closure of the
+transition-system semantics (`lts.Moves.closure`) over the places of a
+marking, with its move rules (`lts.Moves`): a place's move produces the
+marking that `dec` gives its continuation.  There, restricted names (the
+'#' name family, which `dec` substitutes for restriction binders on its
+`terms.region` walk) take the place of bound names: moves labeled with
+restricted actions may take part in synchronizations but never surface as
+net transitions.
 
 Each round of the fixpoint computes the maximal coverable markings with a
 Karp-Miller tree over the transitions discovered so far, so transitions
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter, le
 
-from .lts import Budget, DEFAULT_BUDGET, Lts, Moves, explore
+from .lts import Budget, DEFAULT_BUDGET, Lts, Moves, _item_key, explore
 from .sync import SyncMode, auto_mode
 from .terms import (
     Const, Env, FreshAllocator, GuardednessError, Nil, Program, Term,
@@ -223,27 +224,14 @@ class NetBuilder(Moves):
 
         With `seeds`, whose join `join` is, the closure of one fixpoint
         round: only the items below some seed, each with the bitmask of the
-        seeds it lies below as a fourth field (see `lts.closure`).  Only
+        seeds it lies below as a fourth field (see `Moves.closure`).  Only
         place moves and label pairs' synchronizations are memoized
         (`place_moves`, `_sync`); a closure is not, as no
         construction asks for one twice: a strong-prefix body is met once,
         through the memo of its place, no two rounds have the same seeds
         (whether their tree was resumed or restarted, `build` stops at the
         first repeat), and each omega seed of `_backward_closure` outgrows
-        the last.
-
-        Place moves allocate restricted names, so the places not memoized
-        yet are met seed by seed, each seed's in `term_key` order, as one
-        closure per seed would meet them; a memoized place allocates
-        nothing, and a seed holding no unmet place is skipped."""
-        unmet = {p for p in join if p not in self._moves}
-        for seed in seeds or ():
-            if not unmet:
-                break
-            here = [p for p in seed if p in unmet]
-            for p in sorted(here, key=term_key):
-                self.place_moves(p)
-            unmet.difference_update(here)
+        the last."""
         return self.closure(join, seeds, cap)
 
     def _round_items(self, seeds: list, join: Counter) -> list:
@@ -321,8 +309,7 @@ class NetBuilder(Moves):
                     [Counter({order[i]: c for i, c in seed})
                      for seed in ordered],
                     Counter({order[i]: c for i, c in enumerate(top) if c})):
-                key = (frozenset(used.items()), label,
-                       frozenset(produced.items()))
+                key = _item_key(used, label, produced)
                 if key in transitions:
                     continue
                 if len(transitions) >= self.budget.max_transitions:
@@ -557,9 +544,8 @@ class NetBuilder(Moves):
                 if verdict is None:
                     return None
                 if verdict:
-                    key = (frozenset(used.items()), label,
-                           frozenset(produced.items()))
-                    kept[key] = (used, label, produced)
+                    kept[_item_key(used, label, produced)] = (
+                        used, label, produced)
                     hit = True
                 else:
                     rest.append((used, label, produced))

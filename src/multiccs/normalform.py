@@ -19,7 +19,8 @@ Name families (all disjoint from parseable names):
           canonicalizing, and the binders of the target terms a
           `lts.StepEngine` assembles (never in a normal form;
           substitution alpha-converts any clash between the two),
-  "ν%d"   canonical names bound at the top of a normal form,
+  "ν%d"   canonical names bound at the top of a normal form, which a
+          state's split keeps (`split_region`) where they capture nothing,
   "β%d"   canonical bound names inside a component.
 
 Binder naming may not depend on the order in which binders are written
@@ -151,19 +152,25 @@ def component_order(c: Term, env: Env, strict: bool = False):
 #
 # A region is a maximal parallel composition with its restrictions, not
 # crossing any prefix.  Splitting renames every binder to a unique
-# temporary so no shadowing survives into later passes.
+# temporary so no shadowing survives into later passes; a `ν` binder that
+# can keep its name without shadowing or capturing one keeps it.
 
 
 def split_region(t: Term, gen: NameGen):
     """The binders and components of the region t, walked by
     `terms.region`: restrictions are opened with fresh temporaries,
     parallel compositions flattened, and (unless gen.strict) 0 components
-    and unused restrictions dropped; once per gen."""
+    and unused restrictions dropped; once per gen.  A `ν` binder keeps its
+    name if no earlier binder of the region has it and it is not free in
+    t, so a state's own binders are not substituted through its body."""
     if t in gen.splits:
         return gen.splits[t]
 
     def fresh(name, body):
-        return gen.fresh(name) if gen.strict or name in gen.fns(body) else None
+        if not gen.strict and name not in gen.fns(body):
+            return None
+        keep = name.startswith(NU) and name not in binders
+        return name if keep and name not in gen.fns(t) else gen.fresh(name)
 
     binders: list = []
     comps = [u for u in region(t, gen.env(), fresh, binders)

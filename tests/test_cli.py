@@ -70,6 +70,11 @@ class TestLts:
     def test_ill_formed_input(self, capsys):
         assert run("lts", path("illegal.mccs")) == 3
 
+    def test_dot_writes_a_digraph(self, capsys, tmp_path):
+        out = tmp_path / "lts.dot"
+        assert run("lts", path("dining.mccs"), "--quiet", "--dot", out) == 0
+        assert out.read_text().startswith("digraph")
+
     def test_sync_cut_by_max_seq_len_is_a_budget_error(self, capsys,
                                                        tmp_path):
         f = tmp_path / "p.mccs"
@@ -138,6 +143,11 @@ class TestNet:
         out = capsys.readouterr().out
         assert "s1 = up.(down.0 | A)" in out
 
+    def test_dot_writes_a_digraph(self, capsys, tmp_path):
+        out = tmp_path / "net.dot"
+        assert run("net", path("dining.mccs"), "--dot", out) == 0
+        assert out.read_text().startswith("digraph")
+
 
 class TestBudgetFlags:
     @pytest.mark.parametrize("argv", [
@@ -205,6 +215,10 @@ class TestTranslateAndRoundtrip:
         assert "isomorphic: yes" in out
         assert "s1 -> s1" in out
 
+    def test_truncated_rebuild_is_a_budget_error(self, capsys):
+        assert run("roundtrip", path("phils.pnet"), "--max-places", "2") == 4
+        assert "rebuilt net is truncated" in capsys.readouterr().out
+
     def test_roundtrip_flags_non_reduced_input(self, capsys, tmp_path):
         f = tmp_path / "dead.pnet"
         f.write_text("net dead place s1 init 1 place s2 init 0\n"
@@ -249,6 +263,11 @@ class TestComparisons:
         out = capsys.readouterr().out
         assert "marking graph" in out and "bisimilar: yes" in out
 
+    def test_bisim_against_a_truncated_net_is_a_budget_error(self, capsys):
+        assert run("bisim", path("dining.mccs"), "--against-net",
+                   "--max-places", "2") == 4
+        assert "net construction hit the budget" in capsys.readouterr().err
+
     def test_bisim_needs_a_second_system(self, capsys):
         assert run("bisim", path("dining.mccs")) == 2
 
@@ -273,6 +292,12 @@ class TestComparisons:
     def test_net_bisim(self, capsys):
         assert run("net-bisim", path("loop_a.pnet"), path("cycle_a.pnet")) == 0
         assert "bisimilar: yes" in capsys.readouterr().out
+
+    def test_net_bisim_differs(self, capsys):
+        assert run("net-bisim", path("loop_a.pnet"),
+                   path("weighted.pnet")) == 5
+        out = capsys.readouterr().out
+        assert "bisimilar: no" in out and "distinguishing formula: " in out
 
     @pytest.mark.parametrize("argv", [
         ("bisim", path("semicounter.mccs"), "--against-net",
@@ -333,6 +358,14 @@ class TestStep:
         out = capsys.readouterr().out
         assert "[0] --a-->" in out and "[0] --b-->" in out
 
+    def test_bad_choices_are_answered(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "go.mccs"
+        f.write_text("main = a.b.0;\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("x\n9\nq\n"))
+        assert run("step", f) == 0
+        out = capsys.readouterr().out
+        assert "enter a move number or q" in out and "no such move" in out
+        assert "--b-->" not in out
 
     def test_budget_cut_moves_are_reported(self, capsys, monkeypatch,
                                            tmp_path):

@@ -2,12 +2,13 @@
 unchanged, and one reserved-word list holds for every action name."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from multiccs.lts import Budget
 from multiccs.net2term import translate
-from multiccs.nets import build_net
+from multiccs.nets import PTNet, build_net
 from multiccs.parser import (
     RESERVED, ParseError, format_pnet, format_program, looks_like_net,
     parse_pnet, parse_program, parse_sequence,
@@ -74,6 +75,15 @@ def test_no_reserved_word_is_a_net_label(label):
 def test_no_reserved_word_is_a_program_name(text):
     with pytest.raises(ParseError):
         parse_program(text)
+
+
+@pytest.mark.parametrize("name, header", [("", "net1"), ("9x", "n_9x"),
+                                          ("a-b", "a_b")])
+def test_a_net_name_is_written_as_an_identifier(name, header):
+    net = PTNet(name, ["s1"], Counter({0: 1}), [])
+    text = format_pnet(net)
+    assert text.splitlines()[0] == "net " + header
+    assert format_pnet(parse_pnet(text)) == text
 
 
 def test_place_and_transition_names_keep_their_rule():

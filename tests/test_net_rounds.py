@@ -1,7 +1,7 @@
 """One synchronization closure per fixpoint round of the net construction.
 
-`lts.closure` with seeds bounds each merge by some seed; the items below a
-seed must be exactly the closure over that seed alone, so that the round
+`Moves.closure` with seeds bounds each merge by some seed; the items below
+a seed must be exactly the closure over that seed alone, so that the round
 closure of `NetBuilder.build` emits what one closure per maximal marking
 would.  `oracles.per_seed_build_net` is that per-seed loop, over a dense
 Karp-Miller tree with a pairwise antichain, built afresh in every round;
@@ -14,9 +14,8 @@ from dataclasses import replace
 
 import pytest
 
-import multiccs.lts
 import multiccs.nets
-from multiccs.lts import Budget, closure
+from multiccs.lts import Budget, Moves
 from multiccs.net2term import translate
 from multiccs.nets import OMEGA, NetBuilder, antichain, build_net, firing_rule
 from multiccs.parser import format_pnet, parse_program
@@ -53,20 +52,21 @@ def random_seeds(rng, pool: list) -> list:
             for _ in range(rng.randint(1, 5))]
 
 
-def check_seed_bound(builder: NetBuilder, pool: list, rng, max_seq_len: int):
+def check_seed_bound(builder: NetBuilder, pool: list, rng):
     seeds = random_seeds(rng, pool)
     join = Counter()
     for seed in seeds:
         join |= seed
-    shared, truncated = closure(join, builder.place_moves, builder.mode,
-                                max_seq_len, 10 ** 6, seeds)
+    builder.truncated = False
+    shared = builder.closure(join, seeds, cap=10 ** 6)
+    truncated = builder.truncated
     flags = []
     for i, seed in enumerate(seeds):
-        alone, flag = closure(seed, builder.place_moves, builder.mode,
-                              max_seq_len, 10 ** 6)
+        builder.truncated = False
+        alone = builder.closure(seed, cap=10 ** 6)
         below = [item[:3] for item in shared if item[3] >> i & 1]
         assert below == alone
-        flags.append(flag)
+        flags.append(builder.truncated)
     assert truncated == any(flags)
 
 
@@ -78,17 +78,19 @@ def test_items_below_a_seed_are_its_own_closure(mode, max_seq_len):
     programs = seeded_programs(64, 25)
     programs += [translate(net) for net in random_reduced_nets(rng, 10)]
     for prog in programs:
-        builder = NetBuilder(prog.env, mode, BUDGET)
+        builder = NetBuilder(prog.env, mode,
+                             replace(BUDGET, max_seq_len=max_seq_len))
         net = builder.build(prog.main)
         for _ in range(4):
-            check_seed_bound(builder, net.place_terms, rng, max_seq_len)
+            check_seed_bound(builder, net.place_terms, rng)
 
 
 def test_a_short_max_seq_len_flags_the_round_closure():
     # <a>.b.0 and <c>.~a.0 synchronize to c.b, longer than 1: a seed
     # holding both flags the shared closure, a seed holding one does not
     prog = parse_program("main = <a>.b.0 | <c>.~a.0 | d.0;")
-    builder = NetBuilder(prog.env, SyncMode.GENERAL)
+    builder = NetBuilder(prog.env, SyncMode.GENERAL,
+                         replace(BUDGET, max_seq_len=1))
     left, right, alone = sorted(builder.build(prog.main).place_terms[:3],
                                 key=format_term)
     apart = [Counter({left: 1, alone: 1}), Counter({right: 1, alone: 1})]
@@ -97,9 +99,9 @@ def test_a_short_max_seq_len_flags_the_round_closure():
         join = Counter()
         for seed in seeds:
             join |= seed
-        _, truncated = closure(join, builder.place_moves, builder.mode, 1,
-                               10 ** 6, seeds)
-        assert truncated is flag
+        builder.truncated = False
+        builder.closure(join, seeds, cap=10 ** 6)
+        assert builder.truncated is flag
 
 
 def net_record(net) -> tuple:
@@ -146,14 +148,14 @@ def test_translated_ring_derives_few_closure_items(monkeypatch):
     # ring of 8 has 47 maximal markings in its last round
     prog = translate(philosophers_ring(8))
     items = []
-    real = multiccs.lts.closure
+    real = Moves.closure
 
-    def counting(*args, **kwargs):
-        result = real(*args, **kwargs)
-        items.extend(result[0])
+    def counting(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        items.extend(result)
         return result
 
-    monkeypatch.setattr(multiccs.lts, "closure", counting)
+    monkeypatch.setattr(Moves, "closure", counting)
     net = build_net(prog, SyncMode.FINITE_NET)
     assert net.complete and len(net.transitions) == 16
     assert 0 < len(items) <= 200

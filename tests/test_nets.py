@@ -415,6 +415,13 @@ class TestNetFormat:
         "net n place s1 init 1 place s1 init 0",             # duplicate place
         "net n place s1 init 1 trans t label a in s9:1 out", # unknown place
         "net n place s1 init 1 trans t label in s1:1 out",   # missing label
+        "net 3 place s1 init 1",                             # no net name
+        "net n place s1 init 1 trans t label a in s1:1 out "
+        "trans t label b in s1:1 out",                       # duplicate trans
+        "net n place s1 init 1 trans t label a in s1:1 out "
+        "trans u label a in s1:1 out",                       # same arcs, label
+        "net n place s1 init 1 trans t label a in s1:1 "
+        "s1:1 out",                                          # place repeated
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):

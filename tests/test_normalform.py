@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multiccs.normalform as normalform
+import multiccs.terms as terms
 from multiccs.lts import Budget, build_lts, step
 from multiccs.net2term import translate
 from multiccs.normalform import NormalForm, normalize
-from multiccs.parser import parse_term
+from multiccs.parser import parse_program, parse_term
 from multiccs.terms import (
     Const, Env, NIL, Par, Prefix, Restrict, StrongPrefix, Sum, TAU_ACT,
-    act_in, act_out, format_term, free_names, substitute,
+    act_in, act_out, format_sequence, format_term, free_names, substitute,
 )
 
 from conftest import CORPUS, LINK_KINDS, binder_link, load_net, load_program
@@ -567,3 +568,55 @@ def test_a_program_normalizes_through_one_context_per_mode(env):
     env.define("K3", parse_term("x.0"))
     fresh = Env(dict(env.defs))
     assert key_of("new(x) K3", env) == normalize(term, fresh).key() != "K3"
+
+
+@pytest.mark.parametrize("text, states, transitions", [
+    # the inner binder of K is renamed with K's free a, to the state's ν1
+    ("K = a.0 | (new(a) a.0); main = new(a) (K | ~a.0);",
+     ["new(ν1) ~ν1.0 | K{ν1/a}", "new(ν1) ν1.0"], [(0, "tau", 1)]),
+    ("K = a.b.0 | (new(a) (a.0 | ~a.c.0)); main = new(a) (K | ~a.0);",
+     ["new(ν1) ~ν1.0 | K{ν1/a}", "new(ν1) b.0 | ν1.0 | ~ν1.c.0",
+      "new(ν1) c.0 | ν1.b.0 | ~ν1.0", "b.0 | c.0", "new(ν1) ν1.0 | ~ν1.c.0",
+      "new(ν1) ν1.b.0 | ~ν1.0", "c.0", "b.0", "0"],
+     [(0, "tau", 1), (0, "tau", 2), (1, "tau", 3), (1, "b", 4),
+      (2, "tau", 3), (2, "c", 5), (3, "b", 6), (3, "c", 7), (4, "tau", 6),
+      (5, "tau", 7), (6, "c", 8), (7, "b", 8)]),
+])
+def test_a_kept_binder_captures_no_free_name(text, states, transitions):
+    # a state's ν binder keeps its name only where that name is not free
+    # in the region: an unfolded constant may bind ν1 inside and mention
+    # the state's ν1 outside
+    lts = build_lts(parse_program(text))
+    assert lts.states == states
+    assert [(i, format_sequence(label), j)
+            for i, label, j in lts.transitions] == transitions
+    strict = build_lts(parse_program(text), strict=True)
+    assert len(strict.states) == len(states)
+    assert len(strict.transitions) == len(transitions)
+
+
+def test_a_state_keeps_its_own_binders(monkeypatch):
+    # splitting a state opens its ν binders under their own names, so a
+    # move substitutes nothing through the state and its regions' splits
+    # and skeletons are met again; renaming every binder to a fresh
+    # temporary made 3,587 region skeletons and 1,439 substitutions here
+    regions, substs = [], []
+    real_region, real_subst = normalform._skel_region, terms._subst
+
+    def region(*args):
+        regions.append(None)
+        return real_region(*args)
+
+    def subst(*args):
+        substs.append(None)
+        return real_subst(*args)
+
+    monkeypatch.setattr(normalform, "_skel_region", region)
+    monkeypatch.setattr(terms, "_subst", subst)
+    budget = Budget(max_states=40)
+    assert len(build_lts(load_program("counter"), budget=budget).states) == 40
+    assert len(regions) <= 600
+    del substs[:]
+    phils = translate(load_net("phils"))
+    assert len(build_lts(phils, budget=budget, strict=True).states) == 40
+    assert len(substs) <= 100

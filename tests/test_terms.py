@@ -308,6 +308,7 @@ class TestParser:
         "main = new() a.0;",
         "main = a.0 | ;",
         "A = a.0;",            # no main
+        "main = a.0 $;",       # unexpected character
     ])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):

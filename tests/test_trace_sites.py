@@ -14,8 +14,8 @@ import multiccs
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
-# `nets` takes its synchronizations through `lts.closure` and no longer
-# imports `sync_outcomes`; the `lts` site covers the `sync` span
+# `nets` takes its synchronizations through `lts.Moves.closure` and no
+# longer imports `sync_outcomes`; the `lts` site covers the `sync` span
 STALE = {("nets", "sync_outcomes")}
 
 SITES = [(name, path, attr) for name, sites in spans.TRACED.items()
