@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .dot import lts_dot, net_dot
-from .equiv import (IncompleteLtsError, bisimilar, isomorphic, net_bisimilar)
+from .equiv import IncompleteLtsError, bisimilar, isomorphic
 from .lts import DEFAULT_BUDGET, Budget, StepEngine, build_lts, step
 from .nets import (PTNet, build_net, format_marking, is_reduced, is_safe,
                    marking_graph)
@@ -167,7 +167,8 @@ def cmd_translate(args) -> int:
     net = _load_net(args.file)
     program = translate(net)
     text = format_program(program)
-    print("ccs-shaped: %s" % ("yes" if is_ccs_net(net) else "no"))
+    # a comment, so that stdout reads back as a program
+    print("# ccs-shaped: %s" % ("yes" if is_ccs_net(net) else "no"))
     _write(args.out, text)
     return OK
 
@@ -196,24 +197,32 @@ def cmd_roundtrip(args) -> int:
     return EPROP
 
 
+def _system(loaded, args):
+    """The LTS of a loaded program, or the marking graph of a loaded net."""
+    if isinstance(loaded, PTNet):
+        return marking_graph(loaded, _budget(args))
+    return build_lts(loaded, _mode(args, loaded), _budget(args), args.strict)
+
+
 def cmd_bisim(args) -> int:
-    if not args.other and not args.against_net:
-        print("bisim needs a second file or --against-net", file=sys.stderr)
+    if bool(args.other) == args.against_net:
+        print("bisim takes a second file or --against-net, exactly one",
+              file=sys.stderr)
         return EPARSE
-    program = _load(args.file)
-    budget = _budget(args)
-    mode = _mode(args, program)
-    lts1 = build_lts(program, mode, budget, args.strict)
+    first = _load(args.file, nets=True)
+    if args.against_net and isinstance(first, PTNet):
+        print("--against-net needs a program, not a net", file=sys.stderr)
+        return EPARSE
+    lts1 = _system(first, args)
     if args.against_net:
-        net = build_net(program, mode, budget)
+        net = build_net(first, _mode(args, first), _budget(args))
         if not net.complete:
             print("net construction hit the budget", file=sys.stderr)
             return EBUDGET
-        lts2 = marking_graph(net, budget)
+        lts2 = marking_graph(net, _budget(args))
         other = "marking graph of its net"
     else:
-        program2 = _load(args.other)
-        lts2 = build_lts(program2, _mode(args, program2), budget, args.strict)
+        lts2 = _system(_load(args.other, nets=True), args)
         other = args.other
     res = bisimilar(lts1, lts2)
     print("comparing %s with %s" % (args.file, other))
@@ -228,16 +237,6 @@ def cmd_bisim(args) -> int:
 def cmd_iso(args) -> int:
     return OK if _report_iso(_load_net(args.file),
                              _load_net(args.other)) else EPROP
-
-
-def cmd_netbisim(args) -> int:
-    n1, n2 = _load_net(args.file), _load_net(args.other)
-    res = net_bisimilar(n1, n2, _budget(args))
-    print("marking graphs bisimilar: %s" % ("yes" if res.equivalent else "no"))
-    if not res.equivalent:
-        print("distinguishing formula: %s" % res.counterexample())
-        return EPROP
-    return OK
 
 
 def cmd_sync(args) -> int:
@@ -286,21 +285,6 @@ def cmd_step(args) -> int:
         state = moves[choice][1]
 
 
-def cmd_dot(args) -> int:
-    loaded = _load(args.file, nets=True)
-    if isinstance(loaded, PTNet):
-        output = net_dot(loaded)
-    elif args.net:
-        output = net_dot(build_net(loaded, _mode(args, loaded),
-                                   _budget(args)))
-    else:
-        output = lts_dot(build_lts(loaded, _mode(args, loaded),
-                                   _budget(args), args.strict),
-                         name=args.file)
-    _write(args.out, output)
-    return OK
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -339,11 +323,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip",
                        help="net -> program -> net, check isomorphism")
     p.add_argument("file")
-    _add_common(p, mode=False, strict=False)
+    _add_common(p, ("--max-states", "--max-places", "--max-trans"),
+                mode=False, strict=False)
     p.set_defaults(fn=cmd_roundtrip)
 
-    p = sub.add_parser("bisim", help="bisimilarity of two programs, or of a"
-                                     " program and its own net")
+    p = sub.add_parser("bisim", help="bisimilarity of two programs or nets,"
+                                     " or of a program and its own net")
     p.add_argument("file")
     p.add_argument("other", nargs="?")
     p.add_argument("--against-net", action="store_true")
@@ -354,13 +339,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("other")
     p.set_defaults(fn=cmd_iso)
-
-    p = sub.add_parser("net-bisim", help="bisimilarity of two nets'"
-                                         " marking graphs")
-    p.add_argument("file")
-    p.add_argument("other")
-    _add_common(p, ("--max-states",), mode=False, strict=False)
-    p.set_defaults(fn=cmd_netbisim)
 
     p = sub.add_parser("sync", help="synchronization outcomes of two"
                                     " action sequences")
@@ -375,15 +353,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_common(p, ("--max-seq-len",))
     p.set_defaults(fn=cmd_step)
-
-    p = sub.add_parser("dot", help="render a system or net for graphviz")
-    p.add_argument("file")
-    p.add_argument("--net", action="store_true",
-                   help="for a program: render its net, not its"
-                        " transition system")
-    p.add_argument("--out", metavar="PATH")
-    _add_common(p)
-    p.set_defaults(fn=cmd_dot)
 
     return ap
 

@@ -35,7 +35,7 @@ def net_dot(net: PTNet, name: str | None = None) -> str:
     ]
     for i, pname in enumerate(net.place_names):
         tokens = net.initial.get(i, 0)
-        label = pname if not tokens else "%s\\n%d" % (_esc(pname), tokens)
+        label = _esc(pname) + ("\\n%d" % tokens if tokens else "")
         lines.append('  p%d [shape=circle, label="%s"];' % (i, label))
     for j, (pre, label, post) in enumerate(net.transitions):
         lines.append('  t%d [shape=box, label="%s: %s"];'

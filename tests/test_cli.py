@@ -7,7 +7,7 @@ import pytest
 import multiccs.cli
 import multiccs.lts
 from multiccs.cli import main
-from multiccs.parser import parse_pnet
+from multiccs.parser import parse_pnet, parse_program
 
 from conftest import CORPUS
 
@@ -172,17 +172,16 @@ class TestBudgetFlags:
         ("step", "--max-states", "5"),
         ("step", "--max-places", "5"),
         ("step", "--max-trans", "5"),
-        ("net-bisim", "--max-places", "5"),
-        ("net-bisim", "--max-trans", "5"),
-        ("net-bisim", "--max-seq-len", "5"),
         ("net", "--strict"),
+        ("roundtrip", "--max-seq-len", "5"),
+        ("roundtrip", "--strict"),
+        ("translate", "--max-states", "5"),
     ])
     def test_a_flag_the_command_does_not_read_is_refused(self, capsys,
                                                          tmp_path, argv):
         f = tmp_path / "p.mccs"
         f.write_text("main = a.0;\n")
-        files = (f, f) if argv[0] == "net-bisim" else (f,)
-        assert run(argv[0], *files, *argv[1:]) == 2
+        assert run(argv[0], f, *argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: %s" % " ".join(argv[1:]) in \
@@ -208,6 +207,15 @@ class TestTranslateAndRoundtrip:
         out = capsys.readouterr().out
         assert "ccs-shaped: yes" in out
         assert "C1 = a.C1 + y1.0;" in out
+
+    @pytest.mark.parametrize("net", sorted(CORPUS.glob("*.pnet")),
+                             ids=lambda p: p.stem)
+    def test_translate_stdout_reads_back(self, capsys, tmp_path, net):
+        assert run("translate", net) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "p.mccs"
+        assert run("translate", net, "--out", out) == 0
+        assert parse_program(printed) == parse_program(out.read_text())
 
     def test_roundtrip_ok(self, capsys):
         assert run("roundtrip", path("phils.pnet")) == 0
@@ -280,6 +288,31 @@ class TestComparisons:
         assert run("bisim", path("counter.mccs")) == 2
         assert "second file or --against-net" in capsys.readouterr().err
 
+    def test_a_second_file_and_against_net_is_a_usage_error(self, capsys,
+                                                            monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("build_lts called before the usage check")
+
+        monkeypatch.setattr(multiccs.cli, "build_lts", fail)
+        assert run("bisim", path("dining.mccs"), path("semicounter.mccs"),
+                   "--against-net") == 2
+        captured = capsys.readouterr()
+        assert "exactly one" in captured.err and captured.out == ""
+
+    def test_against_net_needs_a_program(self, capsys):
+        assert run("bisim", path("loop_a.pnet"), "--against-net") == 2
+        captured = capsys.readouterr()
+        assert "needs a program" in captured.err and captured.out == ""
+
+    def test_bisim_program_against_its_written_net(self, capsys, tmp_path):
+        # claim 1 through files: the LTS of a program is bisimilar to the
+        # marking graph of the net that `net --out` wrote for it
+        written = tmp_path / "D.pnet"
+        assert run("net", path("dining.mccs"), "--out", written) == 0
+        capsys.readouterr()
+        assert run("bisim", path("dining.mccs"), written) == 0
+        assert "bisimilar: yes" in capsys.readouterr().out
+
     def test_bisim_truncated_is_a_budget_error(self, capsys):
         assert run("bisim", path("semicounter.mccs"), "--against-net",
                    "--max-states", "6") == 4
@@ -290,19 +323,18 @@ class TestComparisons:
         assert run("iso", path("phils.pnet"), path("phils.pnet")) == 0
 
     def test_net_bisim(self, capsys):
-        assert run("net-bisim", path("loop_a.pnet"), path("cycle_a.pnet")) == 0
+        assert run("bisim", path("loop_a.pnet"), path("cycle_a.pnet")) == 0
         assert "bisimilar: yes" in capsys.readouterr().out
 
     def test_net_bisim_differs(self, capsys):
-        assert run("net-bisim", path("loop_a.pnet"),
-                   path("weighted.pnet")) == 5
+        assert run("bisim", path("loop_a.pnet"), path("weighted.pnet")) == 5
         out = capsys.readouterr().out
-        assert "bisimilar: no" in out and "distinguishing formula: " in out
+        assert "bisimilar: no" in out and "distinguishing formula" in out
 
     @pytest.mark.parametrize("argv", [
         ("bisim", path("semicounter.mccs"), "--against-net",
          "--max-states", "6"),
-        ("net-bisim", path("weighted.pnet"), path("weighted.pnet"),
+        ("bisim", path("weighted.pnet"), path("weighted.pnet"),
          "--max-states", "3"),
     ])
     def test_truncated_comparison_is_reported_in_one_line(self, capsys,
@@ -377,19 +409,24 @@ class TestStep:
         assert "--c b-->" not in out
         assert out.count("budget") == 1
 
-class TestDot:
-    def test_lts_dot(self, capsys):
-        assert run("dot", path("semicounter.mccs"), "--max-states", "4") == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph") and "->" in out
 
-    def test_net_dot_from_program(self, capsys):
-        assert run("dot", path("dining.mccs"), "--net") == 0
-        assert "shape=box" in capsys.readouterr().out
+class TestDot:
+    def test_lts_dot(self, capsys, tmp_path):
+        # a render of a truncated build says so in the exit code
+        out = tmp_path / "lts.dot"
+        assert run("lts", path("semicounter.mccs"), "--quiet",
+                   "--max-states", "4", "--dot", out) == 4
+        text = out.read_text()
+        assert text.startswith("digraph") and "->" in text
+
+    def test_net_dot_from_program(self, capsys, tmp_path):
+        out = tmp_path / "net.dot"
+        assert run("net", path("dining.mccs"), "--dot", out) == 0
+        assert "shape=box" in out.read_text()
 
     def test_net_dot_from_file(self, capsys, tmp_path):
         out = tmp_path / "g.dot"
-        assert run("dot", path("weighted.pnet"), "--out", out) == 0
+        assert run("net", path("weighted.pnet"), "--dot", out) == 0
         assert out.read_text().startswith("digraph")
 
 

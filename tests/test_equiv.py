@@ -201,6 +201,29 @@ class TestIsomorphism:
         assert not verify_isomorphism(net, net, [1, 0, 2])
         assert verify_isomorphism(net, net, [0, 1, 2])
 
+    def test_verify_rejects_a_map_that_is_no_bijection(self):
+        net = load_net("weighted")
+        assert not verify_isomorphism(net, net, [0, 1])
+        assert not verify_isomorphism(net, net, [0, 1, 1])
+
+    def test_an_exhausted_search_answers_no(self):
+        # one 6-cycle of places against two 3-cycles, every arc labelled a
+        # and every place marked once: refinement keeps all 6 places in
+        # one class on each side, so only the full search can say no
+        def cycles(*lengths):
+            arcs, start = [], 0
+            for n in lengths:
+                arcs += [(Counter({start + i: 1}), A,
+                          Counter({start + (i + 1) % n: 1}))
+                         for i in range(n)]
+                start += n
+            return PTNet("c", ["s%d" % (i + 1) for i in range(start)],
+                         Counter({i: 1 for i in range(start)}), arcs)
+
+        one, two = cycles(6), cycles(3, 3)
+        assert not isomorphic(one, two).found
+        assert not brute_isomorphic(one, two)
+
     def test_isomorphic_implies_bisimilar(self):
         net = load_net("weighted")
         perm = [1, 2, 0]
@@ -224,6 +247,17 @@ class TestPartitionReplay:
         bad = dict(res.blocks)
         bad[(0, 1)] = bad[(1, 0)]   # merge unrelated states into one block
         assert not is_bisimulation_partition(l1, l2, bad)
+
+    def test_a_partition_that_is_no_bisimulation_is_rejected(self):
+        l1 = lts_of("main = a.0 + b.0;")
+        l2 = lts_of("main = a.0;")
+        one_block = {(side, s): 0 for side, lts in enumerate((l1, l2))
+                     for s in range(len(lts.states))}
+        assert not is_bisimulation_partition(l1, l2, one_block)
+        # a relation that leaves the initial states unrelated
+        apart = dict(one_block)
+        apart[(0, l1.initial)] = 1
+        assert not is_bisimulation_partition(l1, l2, apart)
 
 
 # -- randomized agreement with the oracle ------------------------------------

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from multiccs.dot import net_dot
 from multiccs.lts import Budget
 from multiccs.net2term import translate
 from multiccs.nets import PTNet, build_net
@@ -114,3 +115,11 @@ def test_format_sniffing():
             path.suffix == ".pnet"), path.name
     assert not looks_like_net("")
     assert looks_like_net("# a comment\n\n  net n\n")
+
+
+def test_dot_escapes_every_place_name():
+    # a marked and an unmarked place, each name with a quote and a backslash
+    net = PTNet("n", ['a"b\\c', 'd\\e"f'], Counter({0: 1}), [])
+    text = net_dot(net)
+    assert 'p0 [shape=circle, label="a\\"b\\\\c\\n1"];' in text
+    assert 'p1 [shape=circle, label="d\\\\e\\"f"];' in text
