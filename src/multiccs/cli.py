@@ -153,14 +153,16 @@ def cmd_net(args) -> int:
         print("%s: %s --%s--> %s"
               % (net.trans_names[j], format_marking(pre, net.place_names),
                  format_sequence(label), format_marking(post, net.place_names)))
+    answers = []
     if args.analyse:
-        print("reduced: %s" % is_reduced(net, _budget(args)))
-        print("safe: %s" % is_safe(net, _budget(args)))
+        answers = [is_reduced(net, _budget(args)), is_safe(net, _budget(args))]
+        print("reduced: %s\nsafe: %s" % tuple(answers))
     if args.dot:
         _write(args.dot, net_dot(net))
     if args.out:
         _write(args.out, format_pnet(net))
-    return OK if net.complete else EBUDGET
+    # an analysis the budget cut answers "unknown"
+    return OK if net.complete and "unknown" not in answers else EBUDGET
 
 
 def cmd_translate(args) -> int:
@@ -374,7 +376,8 @@ def main(argv=None) -> int:
         print(str(e), file=sys.stderr)
         return EILL
     except RecursionError:
-        # term traversals are recursive, so nesting depth is a budget
+        # normal-form skeletons, substitution and the printing of prefix
+        # bodies still recurse, so nesting depth is a budget
         print("input nests too deeply to process", file=sys.stderr)
         return EBUDGET
 

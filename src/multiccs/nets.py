@@ -16,25 +16,23 @@ Each round of the fixpoint computes the maximal coverable markings with a
 Karp-Miller tree over the transitions discovered so far, so transitions
 are admitted exactly when their preset is covered by some reachable
 marking, which keeps the net reduced and also handles unbounded nets such
-as the semi-counter.  While the net is bounded, that is, while the last
-round's tree was complete and met no acceleration, the search resumes that
-tree: its markings fire only the transitions admitted since, and the
-markings they reach fire all of them.  It restarts from the initial
-marking when a new marking strictly covers an ancestor on its branch or
-the budget trips, so every round gets the maximal markings of a fresh
-tree.  The round then runs one closure over all of these markings (the
-seeds): two items merge only if the merged preset lies below some seed,
-never merely below the join of the seeds, which would pair places that are
-never marked together.  The items below a seed are exactly the closure
-over that seed alone, in the same order, so the round emits, seed by seed
-in marking order, what one closure per seed would: places are numbered and
-restricted names allocated as in that reading.  The item cap
-(`NetBuilder.item_cap`) bounds the one closure of a round, so a round may
-trip it where no single seed would.  A round whose seeds are those of the
-round before it ends the fixpoint: it would derive the same items, and
-that round admitted them all.  Seeds are compared, and ordered, as sparse
-vectors over place numbers; only the seeds of a round that goes on become
-multisets of terms.
+as the semi-counter.  A round reuses the last round's tree when that tree
+was complete and met no acceleration, and no transition admitted since
+leads from one of its markings to a marking it lacks: it then holds all
+the reachable markings.  Otherwise the round builds a fresh tree, so every
+round gets the maximal markings of a fresh tree.  The round then runs one
+closure over all of these markings (the seeds): two items merge only if
+the merged preset lies below some seed, never merely below the join of the
+seeds, which would pair places that are never marked together.  The items
+below a seed are exactly the closure over that seed alone, in the same
+order, so the round emits, seed by seed in marking order, what one closure
+per seed would: places are numbered and restricted names allocated as in
+that reading.  The item cap (`NetBuilder.item_cap`) bounds the one closure
+of a round, so a round may trip it where no single seed would.  A round
+whose seeds are those of the round before it ends the fixpoint: it would
+derive the same items, and that round admitted them all.  Seeds are
+compared, and ordered, as sparse vectors over place numbers; only the
+seeds of a round that goes on become multisets of terms.
 
 Places are numbered once, when the construction first meets them, and
 each transition is compiled once, when it is admitted, into a
@@ -84,6 +82,20 @@ def _enabled(pre, m) -> bool:
     for i, c in pre:
         if m[i] < c:
             return False
+    return True
+
+
+def _closed(markings: set, rules: list) -> bool:
+    """Whether the firing rules lead from the markings to none outside
+    them."""
+    for m in markings:
+        for pre, delta in rules:
+            if _enabled(pre, m):
+                nxt = list(m)
+                for i, d in delta:
+                    nxt[i] += d
+                if tuple(nxt) not in markings:
+                    return False
     return True
 
 
@@ -200,7 +212,7 @@ class NetBuilder(Moves):
                          max(512, 4 * budget.max_transitions))
         self.budget = budget
         self.alloc = FreshAllocator()
-        # the last Karp-Miller tree, while a later search may resume it
+        # the last Karp-Miller tree, while a later search may reuse it
         self._tree = None
 
     # -- the moves of a place (labels may contain restricted actions) --------
@@ -229,8 +241,8 @@ class NetBuilder(Moves):
         (`place_moves`, `_sync`); a closure is not, as no
         construction asks for one twice: a strong-prefix body is met once,
         through the memo of its place, no two rounds have the same seeds
-        (whether their tree was resumed or restarted, `build` stops at the
-        first repeat), and each omega seed of `_backward_closure` outgrows
+        (whether their tree was reused or built afresh, `build` stops at
+        the first repeat), and each omega seed of `_backward_closure` outgrows
         the last."""
         return self.closure(join, seeds, cap)
 
@@ -353,26 +365,29 @@ class NetBuilder(Moves):
         budget.  The rules' order is the tree's depth-first order, which
         decides what a budget cut keeps.
 
-        The search resumes the last tree when that tree was complete and
-        exact (no acceleration fired) over some rules, all of which are
-        among these, from vm0 less the places registered since.  Its
-        nodes, padded with zeros for the new places, fire only the new
-        rules, and the nodes they reach fire all of them.  A new marking
-        that strictly covers an ancestor on its branch (the net is
-        unbounded under the new rules), or a seen set past `max_states`,
-        drops the resumed tree, and the search restarts from vm0.  A
-        resumed search that completes has reached exactly the markings
-        reachable from vm0, finitely many, so the net is bounded: a tree
-        from vm0 would never accelerate and would reach the same markings.
+        A tree that completed without an acceleration holds exactly the
+        markings reachable under its rules; it is kept for the next call.
+        That call reuses it when vm0 extends its initial marking by zeros
+        for the places registered since, and its rules are among these,
+        and it is closed: no new rule leads from one of its markings,
+        padded with the same zeros, to a marking it lacks.  Its markings
+        are then exactly those reachable under all these rules, so its
+        maximal ones and its completeness stand.  Otherwise the search
+        builds a fresh tree.
         """
         n = len(vm0)
         fired = set(rules)
         last, self._tree = self._tree, None
         if last is not None:
-            old_vm0, old_rules, old_nodes, old_maximal = last
+            old_vm0, old_rules, markings, maximal = last
             pad = (0,) * (n - len(old_vm0))
-            if vm0 != old_vm0 + pad or not old_rules <= fired:
-                last = None
+            if vm0 == old_vm0 + pad and old_rules <= fired:
+                if pad:
+                    markings = {m + pad for m in markings}
+                    maximal = [v + pad for v in maximal]
+                if _closed(markings, [r for r in rules if r not in old_rules]):
+                    self._tree = (vm0, fired, markings, maximal)
+                    return maximal, True
         # Nodes with equal (omega-)markings are merged globally, not only
         # along the current branch: the first occurrence explores every
         # continuation, and a pump loop that would have accelerated against
@@ -383,81 +398,48 @@ class NetBuilder(Moves):
         # reachability search.
         # A node is (marking, support, parent): the support bitmask of the
         # marked places rules out most ancestors without a full comparison.
-        # The stack holds each node with the rules it has yet to fire.
-        while True:
-            if last is None:
-                nodes = [(vm0, sum(1 << i for i, x in enumerate(vm0) if x),
-                          None)]
-                stack = [(nodes[0], rules)]
-                maximal = []
-                start = 0
-            else:
-                # parents come before their children in discovery order
-                padded: dict = {}
-                for marking, marked, parent in old_nodes:
-                    padded[marking] = (marking + pad, marked,
-                                       parent and padded[parent[0]])
-                nodes = list(padded.values())
-                new_rules = [rule for rule in rules if rule not in old_rules]
-                stack = [(node, new_rules) for node in nodes]
-                maximal = [v + pad for v in old_maximal]
-                start = len(nodes)
-            seen = {node[0] for node in nodes}
-            complete = exact = True
-            while stack:
-                if len(seen) > self.budget.max_states:
-                    complete = False
-                    break
-                node, fire = stack.pop()
-                marking, marked, _ = node
-                for pre, delta in fire:
-                    if not _enabled(pre, marking):
-                        continue
-                    nxt = list(marking)
-                    nmarked = marked
-                    for i, d in delta:
-                        nxt[i] += d
-                        if nxt[i]:
-                            nmarked |= 1 << i
-                        else:
-                            nmarked &= ~(1 << i)
-                    if last is not None and tuple(nxt) in seen:
-                        continue
-                    # accelerate to a fixpoint against every ancestor
-                    changed = True
-                    while changed:
-                        changed = False
-                        anc = node
-                        while anc is not None:
-                            a = anc[0]
-                            if not anc[1] & ~nmarked and all(map(le, a, nxt)):
-                                for i in range(n):
-                                    if nxt[i] > a[i] and nxt[i] != OMEGA:
-                                        nxt[i] = OMEGA
-                                        changed = True
-                                        exact = False
-                            anc = anc[2]
-                    if not exact and last is not None:
-                        # a new marking strictly above an ancestor: the net
-                        # is unbounded under the new rules
-                        stack.clear()
-                        break
-                    nxt = tuple(nxt)
-                    if nxt in seen:
-                        continue
-                    seen.add(nxt)
-                    child = (nxt, nmarked, node)
-                    nodes.append(child)
-                    stack.append((child, rules))
-            if last is None or complete and exact:
+        stack = [(vm0, sum(1 << i for i, x in enumerate(vm0) if x), None)]
+        seen = {vm0}
+        complete = exact = True
+        while stack:
+            if len(seen) > self.budget.max_states:
+                complete = False
                 break
-            last = None
-        if len(nodes) > start:
-            maximal = antichain(maximal + [node[0] for node in nodes[start:]])
-        # a tree over no rules is not kept: resuming its one node would
-        # fire every rule, as a fresh tree does, and restart if that pumps
-        if complete and exact and rules:
-            self._tree = (vm0, fired, nodes, maximal)
+            node = stack.pop()
+            marking, marked, _ = node
+            for pre, delta in rules:
+                if not _enabled(pre, marking):
+                    continue
+                nxt = list(marking)
+                nmarked = marked
+                for i, d in delta:
+                    nxt[i] += d
+                    if nxt[i]:
+                        nmarked |= 1 << i
+                    else:
+                        nmarked &= ~(1 << i)
+                # accelerate to a fixpoint against every ancestor
+                changed = True
+                while changed:
+                    changed = False
+                    anc = node
+                    while anc is not None:
+                        a = anc[0]
+                        if not anc[1] & ~nmarked and all(map(le, a, nxt)):
+                            for i in range(n):
+                                if nxt[i] > a[i] and nxt[i] != OMEGA:
+                                    nxt[i] = OMEGA
+                                    changed = True
+                                    exact = False
+                        anc = anc[2]
+                nxt = tuple(nxt)
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                stack.append((nxt, nmarked, node))
+        maximal = antichain(seen)
+        if complete and exact:
+            self._tree = (vm0, fired, seen, maximal)
         return maximal, complete
 
     def _backward_closure(self, m0: Counter, transitions: dict, admit,

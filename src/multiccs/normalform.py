@@ -61,7 +61,11 @@ memoizes it under those before opening the body (once per context, so
 nested regions stay the same terms).  It holds every binder's final
 colour, so `normalize` reads the canonical term off the whole term's
 skeleton (`_term_of`) instead of renaming and sorting each region again.
-`equiv` colours net places with `_refine`, the one refinement loop.
+`equiv` colours net places with `_refine`.  `equiv.bisimilar` keeps its
+own refinement loop: it records every round's blocks for its
+distinguishing formulas, and numbers blocks in first-seen order rather
+than sorting every state's signature (a translated ring of 8 against its
+marking graph: 1.4 ms, 1.7 ms through `_refine`).
 """
 
 from __future__ import annotations

@@ -121,6 +121,12 @@ class TestNet:
     def test_budget_exhaustion(self, capsys):
         assert run("net", path("counter.mccs"), "--max-states", "20") == 4
 
+    def test_an_analysis_cut_by_the_budget_is_a_budget_error(self, capsys):
+        # the net file is complete; its reducedness check is not
+        assert run("net", path("weighted.pnet"), "--analyse",
+                   "--max-states", "3") == 4
+        assert "reduced: unknown" in capsys.readouterr().out
+
     @pytest.mark.parametrize("text, cap", [("main = a.0 | b.0;", 1),
                                            ("main = a.0;", 0)])
     def test_initial_marking_over_the_place_cap_is_a_budget_error(

@@ -5,7 +5,8 @@ a seed must be exactly the closure over that seed alone, so that the round
 closure of `NetBuilder.build` emits what one closure per maximal marking
 would.  `oracles.per_seed_build_net` is that per-seed loop, over a dense
 Karp-Miller tree with a pairwise antichain, built afresh in every round;
-the library resumes the last round's tree while the net stays bounded.
+the library reuses the last round's tree when the rules admitted since
+lead from its markings to none outside them.
 """
 
 import random
@@ -188,10 +189,12 @@ def test_a_round_with_the_last_seeds_ends_the_fixpoint(monkeypatch):
     assert len(rounds) == 2
 
 
-def test_a_translated_ring_resumes_its_tree(monkeypatch):
-    # the first round has no transition to fire; the second builds the
-    # tree over the 47 reachable markings of a translated ring of 8, and
-    # the third resumes it, firing only the transitions the second admitted
+def test_a_translated_ring_reuses_its_closed_tree(monkeypatch):
+    # the first round has no transition to fire and keeps the one-marking
+    # tree; the second finds a rule leading out of it and builds the tree
+    # over the 47 reachable markings of a translated ring of 8, and the
+    # third reuses that, as the transitions the second admitted lead from
+    # those markings to none outside them
     enabled_tests = []
     real_enabled = multiccs.nets._enabled
 
@@ -203,10 +206,10 @@ def test_a_translated_ring_resumes_its_tree(monkeypatch):
     real = NetBuilder._coverability
 
     def spy(self, vm0, rules):
-        resumable = self._tree is not None
+        reusable = self._tree is not None
         tests = len(enabled_tests)
         result = real(self, vm0, rules)
-        calls.append((len(rules), resumable, self._tree is not None,
+        calls.append((len(rules), reusable, self._tree is not None,
                       len(enabled_tests) - tests))
         return result
 
@@ -214,9 +217,10 @@ def test_a_translated_ring_resumes_its_tree(monkeypatch):
     monkeypatch.setattr(NetBuilder, "_coverability", spy)
     net = build_net(translate(philosophers_ring(8)), SyncMode.FINITE_NET)
     assert net.complete and len(net.transitions) == 16
-    # (rules, resumable, kept, enabledness tests): the full tree tests its
-    # 8 rules at each marking, the resumed one only the 8 new rules there
-    assert calls == [(0, False, False, 0), (8, False, True, 8 * 47),
+    # (rules, reusable, kept, enabledness tests): the full tree tests its
+    # 8 rules at each marking, the closedness check only the 8 new rules
+    # there; a fresh tree would test all 16 rules at each marking
+    assert calls == [(0, False, True, 0), (8, True, True, 1 + 8 * 47),
                      (16, True, True, 8 * 47)]
 
 
@@ -251,29 +255,35 @@ def batched_rounds(net, rng) -> list:
 
 
 @pytest.mark.parametrize("max_states", [3, 8, 400])
-def test_a_resumed_tree_matches_a_fresh_one(max_states):
+def test_a_reused_tree_matches_a_fresh_one(max_states, monkeypatch):
     env = parse_program("main = 0;").env
     budget = Budget(max_states=max_states)
     rng = random.Random(6433)
-    paths = set()
+    checks = []
+    real_closed = multiccs.nets._closed
+
+    def spy(markings, rules):
+        checks.append(real_closed(markings, rules))
+        return checks[-1]
+
+    monkeypatch.setattr(multiccs.nets, "_closed", spy)
     for _ in range(150):
         net = random_net(rng, ccs_shape=rng.random() < 0.5)
-        resumed = NetBuilder(env, SyncMode.GENERAL, budget)
+        builder = NetBuilder(env, SyncMode.GENERAL, budget)
         for vm0, rules in batched_rounds(net, rng):
-            resumable = resumed._tree is not None
-            got, complete = resumed._coverability(vm0, rules)
+            got, complete = builder._coverability(vm0, rules)
             want, want_complete = NetBuilder(
                 env, SyncMode.GENERAL, budget)._coverability(vm0, rules)
             assert len(got) == len(set(got))
             assert set(got) == set(want)
             assert complete == want_complete
-            if resumable:
-                # a resumed search that completes keeps its tree; one that
-                # restarts gets a tree that accelerated or was cut, and
-                # keeps none
-                paths.add("resumed" if resumed._tree is not None
-                          else "restarted")
-    assert paths == {"resumed", "restarted"}
+            # only a tree that completed without an acceleration (so with
+            # no omega in its maximal markings) is kept
+            exact = not any(OMEGA in v for v in got)
+            assert (builder._tree is not None) == (complete and exact)
+    # a kept tree is reused when closed under the new rules, and rebuilt
+    # when they reach a marking it lacks
+    assert set(checks) == {True, False}
 
 
 def test_antichain_keeps_exactly_the_maximal_vectors():

@@ -8,7 +8,9 @@ import pytest
 
 import multiccs.lts
 import multiccs.nets
+from multiccs.equiv import isomorphic
 from multiccs.lts import Budget, build_lts
+from multiccs.net2term import translate
 from multiccs.nets import (
     NetBuilder, PTNet, build_net, dec, format_marking, is_reduced, is_safe,
     marking_graph,
@@ -264,6 +266,33 @@ class TestBuiltNets:
         assert len(results) == 1 and results[0] is not None
         assert net.complete
         assert format_pnet(net) == format_pnet(build_net(prog))
+
+    def test_backward_fallback_rebuilds_a_translated_ring(self, monkeypatch):
+        # the Karp-Miller tree of a translated ring of 8 (47 reachable
+        # markings) is cut at 20 and not kept; the backward closure
+        # completes a net isomorphic to the ring it came from
+        trees, results = [], []
+        coverability = NetBuilder._coverability
+        backward = NetBuilder._backward_closure
+
+        def spy_tree(self, *args):
+            maximal, complete = coverability(self, *args)
+            trees.append((complete, self._tree))
+            return maximal, complete
+
+        def spy_fallback(self, *args):
+            results.append(backward(self, *args))
+            return results[-1]
+
+        monkeypatch.setattr(NetBuilder, "_coverability", spy_tree)
+        monkeypatch.setattr(NetBuilder, "_backward_closure", spy_fallback)
+        ring = philosophers_ring(8)
+        net = build_net(translate(ring), budget=Budget(max_states=20))
+        assert trees[-1] == (False, None)
+        assert len(results) == 1 and results[0] is not None
+        assert net.complete and len(net.place_names) == 24
+        assert len(net.transitions) == 16
+        assert isomorphic(net, ring).found
 
     def test_backward_fallback_over_budget_leaves_the_net_truncated(
             self, monkeypatch):
