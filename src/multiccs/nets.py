@@ -16,14 +16,15 @@ Each round of the fixpoint computes the maximal coverable markings with a
 Karp-Miller tree over the transitions discovered so far, so transitions
 are admitted exactly when their preset is covered by some reachable
 marking, which keeps the net reduced and also handles unbounded nets such
-as the semi-counter.  A round reuses the last round's tree when that tree
-was complete and met no acceleration, and no transition admitted since
-leads from one of its markings to a marking it lacks: it then holds all
-the reachable markings.  Otherwise the round builds a fresh tree, so every
-round gets the maximal markings of a fresh tree.  The round then runs one
-closure over all of these markings (the seeds): two items merge only if
-the merged preset lies below some seed, never merely below the join of the
-seeds, which would pair places that are never marked together.  The items
+as the semi-counter.  While the net is bounded, that is, while the last
+round's tree was complete and met no acceleration, the round extends that
+tree: its markings fire only the transitions admitted since, and the
+markings they reach fire all of them.  An extension that accelerates or
+trips the budget gives way to a fresh tree, so every round gets the
+maximal markings of a fresh tree.  The round then runs one closure over
+all of these markings (the seeds): two items merge only if the merged
+preset lies below some seed, never merely below the join of the seeds,
+which would pair places that are never marked together.  The items
 below a seed are exactly the closure over that seed alone, in the same
 order, so the round emits, seed by seed in marking order, what one closure
 per seed would: places are numbered and restricted names allocated as in
@@ -82,20 +83,6 @@ def _enabled(pre, m) -> bool:
     for i, c in pre:
         if m[i] < c:
             return False
-    return True
-
-
-def _closed(markings: set, rules: list) -> bool:
-    """Whether the firing rules lead from the markings to none outside
-    them."""
-    for m in markings:
-        for pre, delta in rules:
-            if _enabled(pre, m):
-                nxt = list(m)
-                for i, d in delta:
-                    nxt[i] += d
-                if tuple(nxt) not in markings:
-                    return False
     return True
 
 
@@ -212,7 +199,7 @@ class NetBuilder(Moves):
                          max(512, 4 * budget.max_transitions))
         self.budget = budget
         self.alloc = FreshAllocator()
-        # the last Karp-Miller tree, while a later search may reuse it
+        # the last Karp-Miller tree, while a later search may extend it
         self._tree = None
 
     # -- the moves of a place (labels may contain restricted actions) --------
@@ -241,7 +228,7 @@ class NetBuilder(Moves):
         (`place_moves`, `_sync`); a closure is not, as no
         construction asks for one twice: a strong-prefix body is met once,
         through the memo of its place, no two rounds have the same seeds
-        (whether their tree was reused or built afresh, `build` stops at
+        (whether their tree was extended or built afresh, `build` stops at
         the first repeat), and each omega seed of `_backward_closure` outgrows
         the last."""
         return self.closure(join, seeds, cap)
@@ -367,27 +354,33 @@ class NetBuilder(Moves):
 
         A tree that completed without an acceleration holds exactly the
         markings reachable under its rules; it is kept for the next call.
-        That call reuses it when vm0 extends its initial marking by zeros
-        for the places registered since, and its rules are among these,
-        and it is closed: no new rule leads from one of its markings,
-        padded with the same zeros, to a marking it lacks.  Its markings
-        are then exactly those reachable under all these rules, so its
-        maximal ones and its completeness stand.  Otherwise the search
-        builds a fresh tree.
+        When vm0 extends its initial marking by zeros for the places
+        registered since, and its rules are among these, that call extends
+        it: its markings, padded with the same zeros, are the roots of the
+        search and fire only the new rules, and the markings they reach
+        fire all of them.  An extension that completes without an
+        acceleration has reached exactly the markings reachable from vm0,
+        as a fresh tree would.  One that accelerates (the new rules pump)
+        or outgrows the budget is dropped for a fresh tree, whose maximal
+        markings alone are canonical.  An extension that reaches no new
+        marking confirms the kept tree in one enabledness test per marking
+        and new rule.
         """
         n = len(vm0)
         fired = set(rules)
         last, self._tree = self._tree, None
+        roots = {vm0: sum(1 << i for i, x in enumerate(vm0) if x)}
+        fire, maximal = rules, [vm0]
         if last is not None:
-            old_vm0, old_rules, markings, maximal = last
+            old_vm0, old_rules, markings, old_maximal = last
             pad = (0,) * (n - len(old_vm0))
             if vm0 == old_vm0 + pad and old_rules <= fired:
-                if pad:
-                    markings = {m + pad for m in markings}
-                    maximal = [v + pad for v in maximal]
-                if _closed(markings, [r for r in rules if r not in old_rules]):
-                    self._tree = (vm0, fired, markings, maximal)
-                    return maximal, True
+                # zeros for the new places leave each support as it was
+                roots = {m + pad: marked for m, marked in markings.items()}
+                maximal = [v + pad for v in old_maximal]
+                fire = [rule for rule in rules if rule not in old_rules]
+        # a kept tree over no rules is extended as a fresh tree is built
+        extending = len(fire) < len(rules)
         # Nodes with equal (omega-)markings are merged globally, not only
         # along the current branch: the first occurrence explores every
         # continuation, and a pump loop that would have accelerated against
@@ -398,16 +391,19 @@ class NetBuilder(Moves):
         # reachability search.
         # A node is (marking, support, parent): the support bitmask of the
         # marked places rules out most ancestors without a full comparison.
-        stack = [(vm0, sum(1 << i for i, x in enumerate(vm0) if x), None)]
-        seen = {vm0}
+        # The stack holds each node with the rules it has yet to fire; the
+        # roots of an extension have no parent, so it sees fewer ancestors
+        # than a fresh tree and may accelerate later, never wrongly.
+        stack = [((m, marked, None), fire) for m, marked in roots.items()]
+        seen = dict(roots)
         complete = exact = True
-        while stack:
+        while stack and (exact or not extending):
             if len(seen) > self.budget.max_states:
                 complete = False
                 break
-            node = stack.pop()
+            node, fire = stack.pop()
             marking, marked, _ = node
-            for pre, delta in rules:
+            for pre, delta in fire:
                 if not _enabled(pre, marking):
                     continue
                 nxt = list(marking)
@@ -435,9 +431,13 @@ class NetBuilder(Moves):
                 nxt = tuple(nxt)
                 if nxt in seen:
                     continue
-                seen.add(nxt)
-                stack.append((nxt, nmarked, node))
-        maximal = antichain(seen)
+                seen[nxt] = nmarked
+                stack.append(((nxt, nmarked, node), rules))
+        if extending and not (complete and exact):
+            return self._coverability(vm0, rules)
+        if len(seen) > len(roots):
+            # the roots' maximal markings cover every root
+            maximal = antichain(maximal + list(seen)[len(roots):])
         if complete and exact:
             self._tree = (vm0, fired, seen, maximal)
         return maximal, complete
