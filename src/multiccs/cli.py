@@ -9,7 +9,7 @@ import sys
 
 from .dot import lts_dot, net_dot
 from .equiv import IncompleteLtsError, bisimilar, isomorphic
-from .lts import DEFAULT_BUDGET, Budget, StepEngine, build_lts, step
+from .lts import DEFAULT_BUDGET, Budget, StepEngine, build_lts
 from .nets import (PTNet, build_net, format_marking, is_reduced, is_safe,
                    marking_graph)
 from .net2term import is_ccs_net, translate
@@ -217,11 +217,9 @@ def cmd_bisim(args) -> int:
         return EPARSE
     lts1 = _system(first, args)
     if args.against_net:
-        net = build_net(first, _mode(args, first), _budget(args))
-        if not net.complete:
-            print("net construction hit the budget", file=sys.stderr)
-            return EBUDGET
-        lts2 = marking_graph(net, _budget(args))
+        # the graph of a truncated net is truncated: bisimilar refuses it
+        lts2 = _system(build_net(first, _mode(args, first), _budget(args)),
+                       args)
         other = "marking graph of its net"
     else:
         lts2 = _system(_load(args.other, nets=True), args)
@@ -254,14 +252,13 @@ def cmd_sync(args) -> int:
 
 def cmd_step(args) -> int:
     program = _load(args.file)
-    mode = _mode(args, program)
-    engine = StepEngine(program.env, mode, args.max_seq_len, args.strict)
+    engine = StepEngine(program.env, _mode(args, program), args.max_seq_len,
+                        args.strict)
     state = normalize(program.main, program.env, args.strict)
     out = sys.stdout
     while True:
         print("state: %s" % state.key(), file=out)
-        moves = step(state, program.env, mode, strict=args.strict,
-                     engine=engine)
+        moves = engine.step(state)
         # the flag is sticky: cached moves may carry an earlier cut
         status = EBUDGET if engine.truncated else OK
         if status:

@@ -15,22 +15,26 @@ label and by the colours of their presets and postsets, that it feeds and
 is fed by.  A backtracker then maps each place only to places of the
 other net with its colour.
 
-Both semantic checks refuse truncated inputs: a system cut short by a
-budget proves nothing about the states it never explored.
+`bisimilar` refuses truncated input, raising `IncompleteLtsError` before
+it refines: a system cut short by a budget proves nothing about the states
+it never explored.  Nets reach it through `nets.marking_graph`, whose
+graph of a truncated net is itself truncated, so this one check covers
+both semantics.  `isomorphic` compares the nets it is given as they are;
+callers that build a net check `PTNet.complete` first.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .lts import Budget, DEFAULT_BUDGET, Lts
-from .nets import PTNet, marking_graph, marking_key
+from .lts import Lts
+from .nets import PTNet, marking_key
 from .normalform import _refine
 from .terms import MccsError, format_sequence, label_key
 
 __all__ = [
     "IncompleteLtsError", "Formula", "FTrue", "Diamond", "FAnd", "FNot",
     "render_formula", "formula_holds", "BisimResult", "bisimilar",
-    "is_bisimulation_partition", "net_bisimilar",
+    "is_bisimulation_partition",
     "IsoResult", "isomorphic", "verify_isomorphism",
 ]
 
@@ -232,16 +236,6 @@ def is_bisimulation_partition(a: Lts, b: Lts, blocks: dict) -> bool:
         if reach.setdefault(bid, moves) != moves:
             return False
     return True
-
-
-def net_bisimilar(n1: PTNet, n2: PTNet,
-                  budget: Budget = DEFAULT_BUDGET) -> BisimResult:
-    """Bisimilarity of the reachability graphs of two nets."""
-    for tag, net in (("first", n1), ("second", n2)):
-        if not net.complete:
-            raise IncompleteLtsError(
-                "the %s net was truncated by a budget" % tag)
-    return bisimilar(marking_graph(n1, budget), marking_graph(n2, budget))
 
 
 # ---------------------------------------------------------------------------

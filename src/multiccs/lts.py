@@ -11,19 +11,20 @@ pairwise closure (`Moves.closure`) is the one place where moves combine,
 for this semantics and for the net semantics in `nets`: it yields each
 move as the components it uses, its label and the continuations it
 produces, and it keeps its engine's synchronization memo, item cap and
-truncation flag.  The term-level `step` assembles a target term from them
-and normalizes it.
+truncation flag.  `StepEngine.step`, the term-level step, assembles a
+target term from them and normalizes it.
 
 `build_lts` explores a state as its top-level restricted names plus the
 counted multiset of its canonical components, (component, count) pairs in
 normal-form order.  Every state takes its moves from the closure over its
 counted components, minus the moves whose label mentions one of its
-restricted names; `step` stays as an independent oracle and is never run
-on a state.  In a state without restricted names a move rewrites only what
-it consumes: the successor is the state minus the used components plus
-the canonical components of the continuations.  Binder naming is global
-to a state, so a move of a state with restricted names, or one whose
-continuation extrudes a restriction, normalizes its whole target term.
+restricted names; `StepEngine.step` stays as an independent oracle and is
+never run on a state.  In a state without restricted names a move
+rewrites only what it consumes: the successor is the state minus the
+used components plus the canonical components of the continuations.
+Binder naming is global to a state, so a move of a state with restricted
+names, or one whose continuation extrudes a restriction, normalizes its
+whole target term.
 One memo normalizes each continuation and whole target once per build.
 `explore` is the one breadth-first search, here and for the marking graph
 analyses in `nets`.
@@ -53,6 +54,15 @@ from .terms import (
 
 @dataclass(frozen=True)
 class Budget:
+    """A bound that trips marks its result truncated.  `max_states` bounds
+    the kept states of one `explore`, which always keeps the initial state;
+    in a net build, each Karp-Miller tree (per round, not per build), each
+    backward coverability basis and, at max(512, 4 * max_states) items,
+    the fallback's closure over the omega-seed.  `max_places` and
+    `max_transitions` bound a built net, whose closure's item cap is
+    max(512, 4 * max_transitions).  `max_seq_len` bounds synchronized
+    labels in general mode only.  The LTS closure's item cap is
+    `_MAX_ITEMS`, not a field here."""
     max_states: int = 10000
     max_places: int = 5000
     max_transitions: int = 20000
@@ -77,9 +87,6 @@ class Lts:
     transitions: list     # (source index, label sequence, target index)
     initial: int = 0
     complete: bool = True
-
-    def labels(self) -> set:
-        return {label for _, label, _ in self.transitions}
 
     def summary(self) -> str:
         return "%d states, %d transitions, %s" % (
@@ -269,7 +276,7 @@ def _escaping(items: list, restricted) -> list:
 
 
 class StepEngine(Moves):
-    """Moves over terms; `term_moves` gives a term's (label, target)."""
+    """Moves over terms: `term_moves` and, normalized, `step`."""
 
     def __init__(self, env: Env, mode: SyncMode = SyncMode.GENERAL,
                  max_seq_len: int = DEFAULT_BUDGET.max_seq_len,
@@ -292,26 +299,20 @@ class StepEngine(Moves):
             for used, label, produced in _escaping(self.closure(comps),
                                                    binders)))
 
+    def step(self, state) -> tuple:
+        """Moves of a term or normal form: a sorted tuple of
+        (label, target NormalForm) pairs."""
+        t = state.to_term() if isinstance(state, NormalForm) else state
+        out = dict.fromkeys((label, normalize(target, self.env, self.strict))
+                            for label, target in self.term_moves(t))
+        return tuple(sorted(out, key=lambda m: (label_key(m[0]), m[1].key())))
+
     @staticmethod
     def assemble(binders, comps: Counter, used: Counter,
                  produced: Counter) -> Term:
         """The target term of a closure item of new(binders)(comps)."""
         return NormalForm(tuple(binders), tuple(sorted(
             (comps - used + produced).elements(), key=term_key))).to_term()
-
-
-def step(state, env: Env, mode: SyncMode = SyncMode.GENERAL,
-         budget: Budget = DEFAULT_BUDGET, strict: bool = False,
-         engine: StepEngine | None = None):
-    """Moves of a term or normal form: a sorted tuple of
-    (label, target NormalForm) pairs."""
-    if engine is None:
-        engine = StepEngine(env, mode, budget.max_seq_len, strict)
-    t = state.to_term() if isinstance(state, NormalForm) else state
-    out = {}
-    for label, target in engine.term_moves(t):
-        out[(label, normalize(target, env, strict))] = None
-    return tuple(sorted(out, key=lambda m: (label_key(m[0]), m[1].key())))
 
 
 def _counted(nf: NormalForm):

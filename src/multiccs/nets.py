@@ -587,16 +587,21 @@ def _explore(net: PTNet, budget: Budget, visit=None):
 
 
 def marking_graph(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> Lts:
-    """Reachability graph: states are markings, edges are transition labels."""
+    """Reachability graph: states are markings, edges are transition labels.
+    It is complete only if its search and the net are: the graph of a
+    truncated net lacks what the cut transitions reach."""
     keys, edges, complete = _explore(net, budget)
     states = [format_marking({i: n for i, n in enumerate(m) if n},
                              net.place_names) for m in keys]
-    return Lts(states, edges, 0, complete)
+    return Lts(states, edges, 0, complete and net.complete)
 
 
 def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
     """'yes' / 'no' / 'unknown': every place marked in some reachable
-    marking and every transition enabled at some reachable marking."""
+    marking and every transition enabled at some reachable marking.  A
+    truncated net may lack both places and transitions: 'unknown'."""
+    if not net.complete:
+        return "unknown"
     if any(not pre for pre, _, _ in net.transitions):
         return "no"
     places_left = set(range(len(net.place_names)))
@@ -617,8 +622,9 @@ def is_reduced(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
 
 
 def is_safe(net: PTNet, budget: Budget = DEFAULT_BUDGET) -> str:
-    """'yes' / 'no' / 'unknown': no reachable marking puts 2 tokens on a place."""
+    """'yes' / 'no' / 'unknown': no reachable marking puts 2 tokens on a
+    place.  A truncated net never answers 'yes': its cut may reach one."""
     result = _explore(net, budget, lambda m, kept: any(n > 1 for n in m))
     if result is None:
         return "no"
-    return "yes" if result[2] else "unknown"
+    return "yes" if result[2] and net.complete else "unknown"

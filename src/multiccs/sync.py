@@ -69,7 +69,3 @@ def sync_outcomes(s1, s2, mode: SyncMode = SyncMode.GENERAL) -> frozenset:
     if mode is SyncMode.FINITE_NET and len(s1) != 1 and len(s2) != 1:
         return frozenset()
     return _outcomes(s1, s2, {})
-
-
-def is_sync(s1, s2, result, mode: SyncMode = SyncMode.GENERAL) -> bool:
-    return tuple(result) in sync_outcomes(s1, s2, mode)

@@ -411,10 +411,6 @@ def subst_map(t: Term, mapping: dict, env: Env) -> Term:
     return _subst(t, mapping, env)
 
 
-def substitute(t: Term, old: str, new: str, env: Env) -> Term:
-    return subst_map(t, {old: new}, env)
-
-
 def _subst(t: Term, m: dict, env: Env) -> Term:
     # a left spine of sums and parallels is walked in a loop, so a wide
     # body recurses into its right operands only; unchanged nodes are kept

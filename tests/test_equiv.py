@@ -8,7 +8,7 @@ import pytest
 
 from multiccs.equiv import (
     TRUE, Diamond, IncompleteLtsError, bisimilar, formula_holds,
-    is_bisimulation_partition, isomorphic, net_bisimilar, render_formula,
+    is_bisimulation_partition, isomorphic, render_formula,
     verify_isomorphism,
 )
 from multiccs.lts import Budget, Lts, build_lts
@@ -85,9 +85,13 @@ class TestTruncationRefusal:
             bisimilar(cut, full)
 
     def test_net_bisimilar_rejects_truncated_net(self):
+        # the marking graph of a truncated net is truncated, even where
+        # its own search kept every marking
         net = build_net(load_program("counter"), budget=Budget(max_states=20))
+        graph = marking_graph(net)
+        assert not net.complete and not graph.complete
         with pytest.raises(IncompleteLtsError):
-            net_bisimilar(net, net)
+            bisimilar(graph, graph)
 
 
 def chain(n: int) -> Lts:
@@ -124,10 +128,12 @@ class TestDeepVerdicts:
 
 class TestNetBisimilarity:
     def test_loop_and_cycle_agree(self):
-        assert net_bisimilar(load_net("loop_a"), load_net("cycle_a")).equivalent
+        assert bisimilar(marking_graph(load_net("loop_a")),
+                         marking_graph(load_net("cycle_a"))).equivalent
 
     def test_different_systems_disagree(self):
-        res = net_bisimilar(load_net("phils"), load_net("weighted"))
+        res = bisimilar(marking_graph(load_net("phils")),
+                        marking_graph(load_net("weighted")))
         assert not res.equivalent
         assert res.counterexample()
 
@@ -180,7 +186,7 @@ class TestIsomorphism:
 
     def test_bisimilar_nets_need_not_be_isomorphic(self):
         n1, n2 = load_net("loop_a"), load_net("cycle_a")
-        assert net_bisimilar(n1, n2).equivalent
+        assert bisimilar(marking_graph(n1), marking_graph(n2)).equivalent
         assert not isomorphic(n1, n2).found
 
     def test_label_mismatch(self):
@@ -235,7 +241,8 @@ class TestIsomorphism:
              for pre, lab, post in net.transitions],
             net.trans_names)
         assert isomorphic(net, shuffled).found
-        assert net_bisimilar(net, shuffled).equivalent
+        assert bisimilar(marking_graph(net),
+                         marking_graph(shuffled)).equivalent
 
 
 class TestPartitionReplay:

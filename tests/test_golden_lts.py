@@ -1,9 +1,9 @@
 """Pinned outputs of the transition-system semantics.
 
-`build_lts` and the term-level `step` share the move closure and the
-region splitter, so a refactor of either can change both at once and the
-differential test between them would not notice.  This compares states,
-transitions, completeness and the initial `step` list of each case
+`build_lts` and the term-level `StepEngine.step` share the move closure
+and the region splitter, so a refactor of either can change both at once
+and the differential test between them would not notice.  This compares
+states, transitions, completeness and the initial `step` list of each case
 against `golden_lts.json` exactly.  Regenerate it (only on purpose) with
 
     PYTHONPATH=src python tests/test_golden_lts.py --write
@@ -14,7 +14,7 @@ import random
 import sys
 from pathlib import Path
 
-from multiccs.lts import Budget, build_lts, step
+from multiccs.lts import Budget, StepEngine, build_lts
 from multiccs.net2term import translate
 from multiccs.normalform import normalize
 from multiccs.parser import parse_program
@@ -74,7 +74,8 @@ def record(prog, mode, budget, strict) -> dict:
         "complete": lts.complete,
         "initial_step": [[format_sequence(label), target.key()]
                          for label, target
-                         in step(init, prog.env, mode, budget, strict)],
+                         in StepEngine(prog.env, mode, budget.max_seq_len,
+                                       strict).step(init)],
     }
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import multiccs.lts as lts_module
 import multiccs.terms as terms_module
-from multiccs.lts import Budget, StepEngine, build_lts, step
+from multiccs.lts import Budget, StepEngine, build_lts
 from multiccs.normalform import normalize
 from multiccs.parser import format_program, parse_program, parse_term
 from multiccs.sync import SyncMode
@@ -210,8 +210,9 @@ class TestNamedSystems:
 
 
 def bfs_over_step(program, mode, budget, strict):
-    """Reference exploration: the term-level step() on whole normal forms,
-    every target normalized whole and indexed by its printed form."""
+    """Reference exploration: the term-level `StepEngine.step` on whole
+    normal forms, every target normalized whole and indexed by its printed
+    form."""
     env = program.env
     engine = StepEngine(env, mode, budget.max_seq_len, strict)
     init = normalize(program.main, env, strict)
@@ -223,7 +224,7 @@ def bfs_over_step(program, mode, budget, strict):
     while frontier:
         nf = frontier.popleft()
         src = index[nf.key()]
-        for label, target in step(nf, env, mode, budget, strict, engine):
+        for label, target in engine.step(nf):
             k = target.key()
             j = index.get(k)
             if j is None:
@@ -290,7 +291,7 @@ def test_a_warm_context_changes_no_system(name, strict):
 class TestStepAndDeterminism:
     def test_step_on_a_raw_term(self):
         env = parse_program("main = 0;").env
-        moves = step(parse_term("a.0 | ~a.0"), env)
+        moves = StepEngine(env).step(parse_term("a.0 | ~a.0"))
         assert len(moves) == 3
         labels = [lab for lab, _ in moves]
         assert TAU in labels
@@ -298,7 +299,7 @@ class TestStepAndDeterminism:
     def test_step_results_are_sorted_and_stable(self):
         env = parse_program("main = 0;").env
         t = parse_term("b.0 + a.0 | ~a.c.0")
-        assert step(t, env) == step(t, env)
+        assert StepEngine(env).step(t) == StepEngine(env).step(t)
 
     def test_building_twice_gives_identical_systems(self):
         a = build_lts(load_program("dining"))
@@ -309,9 +310,16 @@ class TestStepAndDeterminism:
         env = parse_program("main = 0;").env
         engine = StepEngine(env)
         t1, t2 = parse_term("a.0 | ~a.0"), parse_term("a.b.0 | c.0")
-        fresh = [step(t, env) for t in (t1, t2)]
-        shared = [step(t, env, engine=engine) for t in (t1, t2)]
+        fresh = [StepEngine(env).step(t) for t in (t1, t2)]
+        shared = [engine.step(t) for t in (t1, t2)]
         assert fresh == shared
+
+    def test_an_engine_splits_and_normalizes_in_one_mode(self):
+        env = parse_program("main = 0;").env
+        t = parse_term("new(a)(b.0 | 0)")
+        targets = [[nf.key() for _, nf in StepEngine(env, strict=s).step(t)]
+                   for s in (False, True)]
+        assert targets == [["0"], ["new(ν1) 0 | 0"]]
 
     def test_strict_mode_keeps_inert_components(self):
         lax = lts_of("main = a.0 | 0;")
@@ -335,7 +343,8 @@ def test_a_visit_search_keeps_no_edges():
 class TestLtsHelpers:
     def test_labels(self):
         l = lts_of("main = a.b.0;")
-        assert l.labels() == {(act_in("a"),), (act_in("b"),)}
+        assert {label for _, label, _ in l.transitions} == {
+            (act_in("a"),), (act_in("b"),)}
 
     def test_summary_mentions_truncation(self):
         l = lts_of("main = a.0;")

@@ -222,6 +222,25 @@ def test_a_translated_ring_resumes_its_tree(monkeypatch):
                      (16, True, True, 8 * 47)]
 
 
+def test_a_budgeted_counter_extends_its_trees(monkeypatch):
+    # the counter's net grows by a few places a round for as long as the
+    # place budget lets it, and stays bounded until the cut: each round
+    # extends the tree of the last, where fresh trees make about 73,000
+    # enabledness tests
+    enabled_tests = []
+    real_enabled = multiccs.nets._enabled
+
+    def counting(pre, m):
+        enabled_tests.append(None)
+        return real_enabled(pre, m)
+
+    monkeypatch.setattr(multiccs.nets, "_enabled", counting)
+    net = build_net(load_program("counter"),
+                    budget=Budget(max_states=500, max_places=100))
+    assert not net.complete and len(net.place_names) == 100
+    assert len(enabled_tests) <= 10000
+
+
 def batched_rounds(net, rng) -> list:
     """The (vm0, rules) of each round when the transitions of net are
     admitted in random batches, as `NetBuilder.build` admits them: places

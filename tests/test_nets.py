@@ -21,7 +21,7 @@ from multiccs.parser import (
 from multiccs.sync import SyncMode, sync_outcomes
 from multiccs.terms import (
     FreshAllocator, GuardednessError, Par, Restrict, act_in, act_out,
-    classify_finite_net, format_sequence, substitute,
+    classify_finite_net, format_sequence, subst_map,
 )
 
 from conftest import (
@@ -75,8 +75,8 @@ class TestDecomposition:
         def one_at_a_time(t):
             if isinstance(t, Restrict):
                 fresh = alloc.fresh(t.name)
-                return one_at_a_time(substitute(t.body, t.name, fresh,
-                                                prog.env))
+                return one_at_a_time(subst_map(t.body, {t.name: fresh},
+                                               prog.env))
             if isinstance(t, Par):
                 return one_at_a_time(t.left) + one_at_a_time(t.right)
             return Counter({t: 1})

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import multiccs.normalform as normalform
 import multiccs.terms as terms
-from multiccs.lts import Budget, build_lts, step
+from multiccs.lts import Budget, StepEngine, build_lts
 from multiccs.net2term import translate
 from multiccs.normalform import NormalForm, normalize
 from multiccs.parser import parse_program, parse_term
 from multiccs.terms import (
     Const, Env, NIL, Par, Prefix, Restrict, StrongPrefix, Sum, TAU_ACT,
-    act_in, act_out, format_sequence, format_term, free_names, substitute,
+    act_in, act_out, format_sequence, format_term, free_names, subst_map,
 )
 
 from conftest import CORPUS, LINK_KINDS, binder_link, load_net, load_program
@@ -85,7 +85,7 @@ class TestLaws:
         # K1 has a free, so a genuine alpha-variant renames it inside the
         # constant; the variant with K1 left untouched is a different term
         t = parse_term("new(a)(a.0 | K1)")
-        variant = Restrict("z", substitute(t.body, "a", "z", env))
+        variant = Restrict("z", subst_map(t.body, {"a": "z"}, env))
         assert normalize(t, env).key() == normalize(variant, env).key()
         differ(env, "new(a)(a.0 | K1)", "new(z)(z.0 | K1)")
 
@@ -170,7 +170,7 @@ def rewrites(t, env):
                 yield Par(p, Restrict(t.name, q))
         for b in ("u", "w"):
             if b != t.name and b not in free_names(t.body, env):
-                yield Restrict(b, substitute(t.body, t.name, b, env))
+                yield Restrict(b, subst_map(t.body, {t.name: b}, env))
                 break
         for r in rewrites(t.body, env):
             yield Restrict(t.name, r)
@@ -236,8 +236,8 @@ def test_keys_print_the_term_of_the_normal_form(strict):
     for _, prog, _ in cases():
         init = normalize(prog.main, prog.env, strict)
         nfs.append(init)
-        nfs += [target for _, target in step(
-            init, prog.env, modes(prog)["auto"], strict=strict)]
+        engine = StepEngine(prog.env, modes(prog)["auto"], strict=strict)
+        nfs += [target for _, target in engine.step(init)]
     assert [nf.key() for nf in nfs[:2]] == ["0", "new(ν1, ν2) 0"]
     assert any(nf.restricted for nf in nfs[2:])
     for nf in nfs:

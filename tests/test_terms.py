@@ -8,7 +8,7 @@ from multiccs.terms import (
     Action, Const, Env, NIL, Par, Prefix, Program, Restrict, StrongPrefix,
     Sum, TAU_ACT, Term, FreshAllocator, act_in, act_out, check_wellformed,
     classify_finite_net, format_sequence, format_term, free_names,
-    iter_subterms, par_fold, region, sequence_names, substitute, subst_map,
+    iter_subterms, par_fold, region, sequence_names, subst_map,
     term_key,
 )
 
@@ -54,7 +54,7 @@ class TestFreeNames:
         prog = parse_program("K = a.b.K; main = K;")
         env = prog.env
         assert free_names(Const("K"), env) == {"a", "b"}
-        renamed = substitute(Const("K"), "a", "z", env)
+        renamed = subst_map(Const("K"), {"a": "z"}, env)
         assert renamed == Const("K", (("a", "z"),))
         assert free_names(renamed, env) == {"z", "b"}
 
@@ -66,19 +66,19 @@ class TestFreeNames:
 class TestSubstitution:
     def test_plain(self):
         env = Env()
-        assert substitute(T("a.~a.0"), "a", "b", env) == T("b.~b.0")
+        assert subst_map(T("a.~a.0"), {"a": "b"}, env) == T("b.~b.0")
 
     def test_binder_is_converted_with_the_free_occurrences(self):
         # substitution renames a restriction binder rather than stopping
         # at it; the new name is expected to be fresh for the body
         env = Env()
         t = T("new(a)(a.0 | b.0)")
-        assert substitute(t, "a", "c", env) == T("new(c)(c.0 | b.0)")
+        assert subst_map(t, {"a": "c"}, env) == T("new(c)(c.0 | b.0)")
 
     def test_capture_is_avoided(self):
         env = Env()
         t = T("new(b)(a.b.0)")
-        out = substitute(t, "a", "b", env)
+        out = subst_map(t, {"a": "b"}, env)
         assert isinstance(out, Restrict)
         assert out.name != "b"
         assert free_names(out, env) == {"b"}
@@ -90,7 +90,7 @@ class TestSubstitution:
 
     def test_tau_untouched(self):
         env = Env()
-        assert substitute(T("tau.a.0"), "a", "b", env) == T("tau.b.0")
+        assert subst_map(T("tau.a.0"), {"a": "b"}, env) == T("tau.b.0")
 
     def test_a_capturing_binder_takes_a_generated_name(self):
         # the new binder is base#k with base stripped of its own #k, free
