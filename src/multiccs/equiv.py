@@ -15,12 +15,12 @@ label and by the colours of their presets and postsets, that it feeds and
 is fed by.  A backtracker then maps each place only to places of the
 other net with its colour.
 
-`bisimilar` refuses truncated input, raising `IncompleteLtsError` before
-it refines: a system cut short by a budget proves nothing about the states
-it never explored.  Nets reach it through `nets.marking_graph`, whose
-graph of a truncated net is itself truncated, so this one check covers
-both semantics.  `isomorphic` compares the nets it is given as they are;
-callers that build a net check `PTNet.complete` first.
+`bisimilar` and `isomorphic` refuse truncated input, raising
+`IncompleteLtsError` before they compare: a system cut short by a budget
+proves nothing about the states it never explored, nor a net about the
+places it never built.  Nets reach `bisimilar` through
+`nets.marking_graph`, whose graph of a truncated net is itself truncated,
+so this one check covers both semantics.
 """
 
 from collections import defaultdict
@@ -153,13 +153,17 @@ class BisimResult:
         return None if self.formula is None else render_formula(self.formula)
 
 
+def _refuse_truncated(a, b, kind: str, relation: str) -> None:
+    for tag, x in (("first", a), ("second", b)):
+        if not x.complete:
+            raise IncompleteLtsError(
+                "the %s %s was truncated by a budget; "
+                "%s over it would be unsound" % (tag, kind, relation))
+
+
 def bisimilar(a: Lts, b: Lts) -> BisimResult:
     """Strong bisimilarity of the initial states of two systems."""
-    for tag, l in (("first", a), ("second", b)):
-        if not l.complete:
-            raise IncompleteLtsError(
-                "the %s system was truncated by a budget; "
-                "bisimilarity over it would be unsound" % tag)
+    _refuse_truncated(a, b, "system", "bisimilarity")
 
     nodes = ([(0, i) for i in range(len(a.states))]
              + [(1, j) for j in range(len(b.states))])
@@ -270,6 +274,7 @@ def isomorphic(n1: PTNet, n2: PTNet) -> IsoResult:
     marking and mapping the transition set onto the other's.  A colour
     means the same in both nets, so a place is tried only against the
     other net's places of its colour."""
+    _refuse_truncated(n1, n2, "net", "isomorphism")
     if (len(n1.place_names) != len(n2.place_names)
             or len(n1.transitions) != len(n2.transitions)):
         return IsoResult(False, None)

@@ -44,7 +44,7 @@ from .normalform import (
     NormalForm, component_order, context, format_state, normalize,
     split_region,
 )
-from .sync import SyncMode, sync_outcomes
+from .sync import SyncMode, auto_mode, sync_outcomes
 from .terms import (
     Const, Env, GuardednessError, MccsError, Nil, Prefix, Program,
     StrongPrefix, Sum, Term, format_term, label_key, sequence_names,
@@ -359,9 +359,12 @@ def explore(init, successors, max_states: int, visit=None):
     return states, list(edges), complete
 
 
-def build_lts(program: Program, mode: SyncMode = SyncMode.GENERAL,
+def build_lts(program: Program, mode: SyncMode | None = None,
               budget: Budget = DEFAULT_BUDGET, strict: bool = False) -> Lts:
-    """Breadth-first state space construction from the main term."""
+    """Breadth-first state space construction from the main term.
+    mode=None picks the mode as `build_net` does (`sync.auto_mode`)."""
+    if mode is None:
+        mode = auto_mode(program)
     env = program.env
     engine = StepEngine(env, mode, budget.max_seq_len, strict)
     order: dict = {}      # component -> normal-form sort key

@@ -215,23 +215,12 @@ class NetBuilder(Moves):
 
     # -- transitions derivable inside a marking ------------------------------
 
-    def derive_items(self, join: Counter, seeds: list | None = None,
-                     cap: int | None = None) -> list:
-        """All (used, label, produced) with used below `join`, including
-        intermediate items whose label mentions restricted actions, up to
-        `cap` items (`item_cap` by default).
-
-        With `seeds`, whose join `join` is, the closure of one fixpoint
-        round: only the items below some seed, each with the bitmask of the
-        seeds it lies below as a fourth field (see `Moves.closure`).  Only
-        place moves and label pairs' synchronizations are memoized
-        (`place_moves`, `_sync`); a closure is not, as no
-        construction asks for one twice: a strong-prefix body is met once,
-        through the memo of its place, no two rounds have the same seeds
-        (whether their tree was extended or built afresh, `build` stops at
-        the first repeat), and each omega seed of `_backward_closure` outgrows
-        the last."""
-        return self.closure(join, seeds, cap)
+    # `Moves.closure` under the name the builder calls it by, so that a
+    # tracer can wrap the builder's calls alone.  No closure is memoized:
+    # a strong-prefix body is met once, through its place's memo, no two
+    # rounds have the same seeds (`build` stops at the first repeat), and
+    # each omega seed of `_backward_closure` outgrows the last.
+    derive_items = Moves.closure
 
     def _round_items(self, seeds: list, join: Counter) -> list:
         """The visible items of one fixpoint round, whose seeds have the
@@ -455,8 +444,7 @@ class NetBuilder(Moves):
         enable further candidates.  Returns the new transition table, or
         None when a budget trips (the truncated forward result then stands).
         """
-        known = list(order)
-        members = set(known)
+        known = dict.fromkeys(order)     # the places, in order
         cand: list = []
         # the state budget stopped the forward search; it bounds the
         # closure over the omega-seed too, which may otherwise run to the
@@ -468,18 +456,14 @@ class NetBuilder(Moves):
                     if _label_visible(it[1])]
             if self.truncated:
                 return None
-            fresh = [p for _, _, produced in cand
-                     for p in sorted(produced, key=term_key)
-                     if p not in members]
+            fresh = dict.fromkeys(p for _, _, produced in cand
+                                  for p in sorted(produced, key=term_key)
+                                  if p not in known)
             if not fresh:
                 break
-            for p in fresh:
-                if p in members:
-                    continue
-                if len(known) >= self.budget.max_places:
-                    return None
-                members.add(p)
-                known.append(p)
+            if len(known) + len(fresh) > self.budget.max_places:
+                return None
+            known.update(fresh)
         else:
             return None
 
@@ -520,7 +504,6 @@ class NetBuilder(Moves):
             vt = [(vec(used), vec(produced))
                   for used, _, produced in kept.values()]
             rest = []
-            hit = False
             for used, label, produced in pending:
                 verdict = coverable(vec(used), vt)
                 if verdict is None:
@@ -528,10 +511,9 @@ class NetBuilder(Moves):
                 if verdict:
                     kept[_item_key(used, label, produced)] = (
                         used, label, produced)
-                    hit = True
                 else:
                     rest.append((used, label, produced))
-            if not hit:
+            if len(rest) == len(pending):
                 break
             pending = rest
 

@@ -7,7 +7,12 @@ import pytest
 import multiccs.cli
 import multiccs.lts
 from multiccs.cli import main
-from multiccs.parser import parse_pnet, parse_program
+from multiccs.lts import Budget
+from multiccs.net2term import translate
+from multiccs.nets import build_net
+from multiccs.parser import (format_pnet, format_program, parse_pnet,
+                             parse_program)
+from multiccs.terms import check_wellformed
 
 from conftest import CORPUS
 
@@ -21,6 +26,19 @@ def run(*argv):
 
 def path(name):
     return CORPUS / name
+
+
+def _well_formed(p) -> bool:
+    return check_wellformed(parse_program(p.read_text(), name=p.stem)).ok
+
+
+# every corpus net, and every well-formed corpus program, with the budget
+# flags that keep its net finite
+READ_BACK = [pytest.param(p, (), id=p.stem)
+             for p in sorted(CORPUS.glob("*.pnet"))] + [
+    pytest.param(p, ("--max-states", "20") if p.stem == "counter" else (),
+                 id=p.stem)
+    for p in sorted(CORPUS.glob("*.mccs")) if _well_formed(p)]
 
 
 class TestCheck:
@@ -109,8 +127,8 @@ class TestNet:
     def test_build_from_program(self, capsys):
         assert run("net", path("dining.mccs")) == 0
         out = capsys.readouterr().out
-        assert "10 places, 8 transitions, complete" in out
-        assert "initial:" in out
+        assert "# net dining: 10 places, 8 transitions, complete\n" in out
+        assert "\nplace s1 init 1\n" in out
 
     def test_load_net_file(self, capsys):
         assert run("net", path("phils.pnet"), "--analyse") == 0
@@ -138,11 +156,18 @@ class TestNet:
         assert "truncated" in captured.out
         assert "Traceback" not in captured.err
 
-    def test_out_is_reparseable(self, capsys, tmp_path):
-        out = tmp_path / "dining.pnet"
-        assert run("net", path("dining.mccs"), "--out", out) == 0
-        net = parse_pnet(out.read_text())
-        assert len(net.place_names) == 10
+    @pytest.mark.parametrize("file, flags", READ_BACK)
+    def test_stdout_reads_back(self, capsys, file, flags):
+        status = run("net", file, "--analyse", *flags)
+        assert status == (4 if flags else 0)
+        if file.suffix == ".pnet":
+            net = parse_pnet(file.read_text())
+        else:
+            budget = Budget(max_states=20) if flags else Budget()
+            net = build_net(parse_program(file.read_text(), name=file.stem),
+                            budget=budget)
+        printed = parse_pnet(capsys.readouterr().out)
+        assert format_pnet(printed) == format_pnet(net)
 
     def test_place_terms_are_shown(self, capsys):
         run("net", path("semicounter.mccs"))
@@ -182,6 +207,9 @@ class TestBudgetFlags:
         ("roundtrip", "--max-seq-len", "5"),
         ("roundtrip", "--strict"),
         ("translate", "--max-states", "5"),
+        ("translate", "--out", "x.mccs"),
+        ("net", "--out", "x.pnet"),
+        ("bisim", "--against-net"),
     ])
     def test_a_flag_the_command_does_not_read_is_refused(self, capsys,
                                                          tmp_path, argv):
@@ -216,12 +244,11 @@ class TestTranslateAndRoundtrip:
 
     @pytest.mark.parametrize("net", sorted(CORPUS.glob("*.pnet")),
                              ids=lambda p: p.stem)
-    def test_translate_stdout_reads_back(self, capsys, tmp_path, net):
+    def test_translate_stdout_reads_back(self, capsys, net):
         assert run("translate", net) == 0
         printed = capsys.readouterr().out
-        out = tmp_path / "p.mccs"
-        assert run("translate", net, "--out", out) == 0
-        assert parse_program(printed) == parse_program(out.read_text())
+        text = format_program(translate(parse_pnet(net.read_text())))
+        assert parse_program(printed) == parse_program(text)
 
     def test_roundtrip_ok(self, capsys):
         assert run("roundtrip", path("phils.pnet")) == 0
@@ -231,7 +258,10 @@ class TestTranslateAndRoundtrip:
 
     def test_truncated_rebuild_is_a_budget_error(self, capsys):
         assert run("roundtrip", path("phils.pnet"), "--max-places", "2") == 4
-        assert "rebuilt net is truncated" in capsys.readouterr().out
+        # the one refusal is isomorphic's, of the truncated rebuild
+        assert capsys.readouterr().err.splitlines() == [
+            "the second net was truncated by a budget; "
+            "isomorphism over it would be unsound"]
 
     def test_roundtrip_flags_non_reduced_input(self, capsys, tmp_path):
         f = tmp_path / "dead.pnet"
@@ -273,58 +303,44 @@ class TestComparisons:
         assert "distinguishing formula" in capsys.readouterr().out
 
     def test_bisim_against_net(self, capsys):
-        assert run("bisim", path("dining.mccs"), "--against-net") == 0
+        assert run("bisim", path("dining.mccs")) == 0
         out = capsys.readouterr().out
         assert "marking graph" in out and "bisimilar: yes" in out
 
     def test_bisim_against_a_truncated_net_is_a_budget_error(self, capsys):
-        assert run("bisim", path("dining.mccs"), "--against-net",
-                   "--max-places", "2") == 4
+        assert run("bisim", path("dining.mccs"), "--max-places", "2") == 4
         # the one refusal is bisimilar's, of the net's truncated graph
         assert capsys.readouterr().err.splitlines() == [
             "the second system was truncated by a budget; "
             "bisimilarity over it would be unsound"]
 
     def test_bisim_needs_a_second_system(self, capsys):
-        assert run("bisim", path("dining.mccs")) == 2
+        # a net has no net of its own to compare with
+        assert run("bisim", path("loop_a.pnet")) == 2
 
     def test_bisim_usage_is_checked_before_any_build(self, capsys,
                                                       monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("build_lts called before the usage check")
+            raise AssertionError("a system built before the usage check")
 
+        monkeypatch.setattr(multiccs.cli, "marking_graph", fail)
         monkeypatch.setattr(multiccs.cli, "build_lts", fail)
-        assert run("bisim", path("counter.mccs")) == 2
-        assert "second file or --against-net" in capsys.readouterr().err
-
-    def test_a_second_file_and_against_net_is_a_usage_error(self, capsys,
-                                                            monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("build_lts called before the usage check")
-
-        monkeypatch.setattr(multiccs.cli, "build_lts", fail)
-        assert run("bisim", path("dining.mccs"), path("semicounter.mccs"),
-                   "--against-net") == 2
+        assert run("bisim", path("weighted.pnet")) == 2
         captured = capsys.readouterr()
-        assert "exactly one" in captured.err and captured.out == ""
-
-    def test_against_net_needs_a_program(self, capsys):
-        assert run("bisim", path("loop_a.pnet"), "--against-net") == 2
-        captured = capsys.readouterr()
-        assert "needs a program" in captured.err and captured.out == ""
+        assert captured.err == "bisim of a net takes a second file\n"
+        assert captured.out == ""
 
     def test_bisim_program_against_its_written_net(self, capsys, tmp_path):
         # claim 1 through files: the LTS of a program is bisimilar to the
-        # marking graph of the net that `net --out` wrote for it
+        # marking graph of the net that `net` printed for it
         written = tmp_path / "D.pnet"
-        assert run("net", path("dining.mccs"), "--out", written) == 0
-        capsys.readouterr()
+        assert run("net", path("dining.mccs")) == 0
+        written.write_text(capsys.readouterr().out)
         assert run("bisim", path("dining.mccs"), written) == 0
         assert "bisimilar: yes" in capsys.readouterr().out
 
     def test_bisim_truncated_is_a_budget_error(self, capsys):
-        assert run("bisim", path("semicounter.mccs"), "--against-net",
-                   "--max-states", "6") == 4
+        assert run("bisim", path("semicounter.mccs"), "--max-states", "6") == 4
 
     def test_iso(self, capsys):
         assert run("iso", path("loop_a.pnet"), path("cycle_a.pnet")) == 5
@@ -341,8 +357,7 @@ class TestComparisons:
         assert "bisimilar: no" in out and "distinguishing formula" in out
 
     @pytest.mark.parametrize("argv", [
-        ("bisim", path("semicounter.mccs"), "--against-net",
-         "--max-states", "6"),
+        ("bisim", path("semicounter.mccs"), "--max-states", "6"),
         ("bisim", path("weighted.pnet"), path("weighted.pnet"),
          "--max-states", "3"),
     ])

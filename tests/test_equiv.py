@@ -93,6 +93,16 @@ class TestTruncationRefusal:
         with pytest.raises(IncompleteLtsError):
             bisimilar(graph, graph)
 
+    def test_isomorphic_rejects_truncated_nets(self):
+        # the counter net cut at 20 and at 30 states has 36 and 51 places:
+        # compared as they are, the cuts would answer "not isomorphic"
+        prog = load_program("counter")
+        cuts = [build_net(prog, budget=Budget(max_states=n)) for n in (20, 30)]
+        assert not any(net.complete for net in cuts)
+        for n1, n2 in (cuts, cuts[::-1]):
+            with pytest.raises(IncompleteLtsError):
+                isomorphic(n1, n2)
+
 
 def chain(n: int) -> Lts:
     """n states in a row, joined by a-steps."""
@@ -139,6 +149,14 @@ class TestNetBisimilarity:
 
     def test_term_lts_matches_marking_graph_for_dining(self):
         prog = load_program("dining")
+        assert bisimilar(build_lts(prog),
+                         marking_graph(build_net(prog))).equivalent
+
+    def test_claim_1_holds_through_the_default_modes(self):
+        # a finite-net program whose general-mode LTS has moves, such as
+        # one labelled `a ~a tau`, that its finite-net net lacks: build_lts
+        # and build_net must pick the same mode by default
+        prog = parse_program("main = <a>.b.0 | <~a>.~b.0;")
         assert bisimilar(build_lts(prog),
                          marking_graph(build_net(prog))).equivalent
 

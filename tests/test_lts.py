@@ -115,8 +115,10 @@ class TestComposition:
 
     def test_a_sync_cut_by_max_seq_len_truncates(self):
         text = "main = <a>.b.0 | <c>.~a.0;"
-        full = lts_of(text, budget=Budget(max_seq_len=16))
-        cut = lts_of(text, budget=Budget(max_seq_len=1))
+        full = lts_of(text, mode=SyncMode.GENERAL,
+                      budget=Budget(max_seq_len=16))
+        cut = lts_of(text, mode=SyncMode.GENERAL,
+                     budget=Budget(max_seq_len=1))
         assert full.complete and shape(full) == (4, 5)
         assert ("c", "b") not in init_labels(cut)
         assert not cut.complete and shape(cut) == (4, 4)
@@ -128,7 +130,7 @@ class TestComposition:
         assert len(init_labels(l)) == 2
 
     def test_finite_net_mode_drops_transactional_merges(self):
-        gen = lts_of("main = <a>.b.0 | <c>.~a.0;")
+        gen = lts_of("main = <a>.b.0 | <c>.~a.0;", mode=SyncMode.GENERAL)
         fn = lts_of("main = <a>.b.0 | <c>.~a.0;", mode=SyncMode.FINITE_NET)
         assert ("c", "b") in init_labels(gen)
         assert ("c", "b") not in init_labels(fn)

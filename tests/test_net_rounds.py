@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 import multiccs.nets
-from multiccs.lts import Budget, Moves
+from multiccs.lts import Budget
 from multiccs.net2term import translate
 from multiccs.nets import OMEGA, NetBuilder, antichain, build_net, firing_rule
 from multiccs.parser import format_pnet, parse_program
@@ -148,14 +148,14 @@ def test_translated_ring_derives_few_closure_items(monkeypatch):
     # ring of 8 has 47 maximal markings in its last round
     prog = translate(philosophers_ring(8))
     items = []
-    real = Moves.closure
+    real = NetBuilder.derive_items
 
     def counting(self, *args, **kwargs):
         result = real(self, *args, **kwargs)
         items.extend(result)
         return result
 
-    monkeypatch.setattr(Moves, "closure", counting)
+    monkeypatch.setattr(NetBuilder, "derive_items", counting)
     net = build_net(prog, SyncMode.FINITE_NET)
     assert net.complete and len(net.transitions) == 16
     assert 0 < len(items) <= 200
