@@ -330,6 +330,12 @@ class TestComparisons:
         assert captured.err == "bisim of a net takes a second file\n"
         assert captured.out == ""
 
+    def test_against_net_needs_a_program(self, capsys):
+        # one file is compared with its own net, which only a program has
+        assert run("bisim", path("loop_a.pnet")) == 2
+        captured = capsys.readouterr()
+        assert "second file" in captured.err and captured.out == ""
+
     def test_bisim_program_against_its_written_net(self, capsys, tmp_path):
         # claim 1 through files: the LTS of a program is bisimilar to the
         # marking graph of the net that `net` printed for it
